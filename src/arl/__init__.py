@@ -47,7 +47,6 @@ from .hypergraph import (
     Hypergraph,
     colex_rank,
     degree,
-    enumerate_copies,
     has_copy,
     independent_sets,
     induced_multipartite,

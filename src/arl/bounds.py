@@ -110,7 +110,6 @@ def bound_report(
     *,
     r: Optional[int] = None,
     budget: Optional[SearchBudget] = None,
-    threads: int = 1,
 ) -> BoundsTable:
     """Evaluate every applicable bound template for pattern at host size n.
 
@@ -127,7 +126,7 @@ def bound_report(
     else:
         raise ValueError(f"cannot lower uniformity {base.r} to {r}")
 
-    ar_rep = exact_anti_ramsey(n, target, budget=budget, threads=threads)
+    ar_rep = exact_anti_ramsey(n, target, budget=budget)
     ar = ar_rep.value
 
     rows: list[BoundRow] = []

@@ -109,7 +109,6 @@ def _add_pattern_flags(p: argparse.ArgumentParser) -> None:
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-secs", type=float, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,28 +311,16 @@ def _cmd_solve(args) -> int:
     budget = _budget_from(args)
     if args.what == "ex":
         fam = make_family(_patterns_from(args))
-        rep = exact_turan(
-            args.n,
-            fam,
-            budget=budget,
-            root_symmetry=args.root_symmetry,
-            threads=args.threads,
-        )
+        rep = exact_turan(args.n, fam, budget=budget, root_symmetry=args.root_symmetry)
     else:
-        rep = exact_anti_ramsey(
-            args.n, _single_pattern(args), budget=budget, threads=args.threads
-        )
+        rep = exact_anti_ramsey(args.n, _single_pattern(args), budget=budget)
     _emit(args, formats.report_to_text(rep), formats.report_to_json(rep))
     return 3 if rep.status == "budget_exhausted" else 0
 
 
 def _cmd_bounds(args) -> int:
     table = bound_report(
-        args.n,
-        _single_pattern(args),
-        r=args.r,
-        budget=_budget_from(args),
-        threads=args.threads,
+        args.n, _single_pattern(args), r=args.r, budget=_budget_from(args)
     )
     _emit(args, formats.bounds_to_text(table), formats.bounds_to_json(table))
     return 3 if table.ar_status == "budget_exhausted" else 0

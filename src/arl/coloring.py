@@ -166,7 +166,8 @@ class RainbowEmbedder:
     The pattern's non-isolated vertices are embedded injectively; image edges
     must be colored (color_at returning None marks an edge unusable) with
     pairwise distinct colors.  Plans are precomputed so solvers can run the
-    anchored variant millions of times cheaply.
+    anchored variant millions of times cheaply.  Plain containment is the
+    case where every present host edge has its own color (see has_copy).
     """
 
     def __init__(self, n: int, f: Hypergraph):

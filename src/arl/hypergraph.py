@@ -31,7 +31,6 @@ __all__ = [
     "induced_subgraph",
     "is_independent",
     "independent_sets",
-    "enumerate_copies",
     "has_copy",
 ]
 
@@ -203,23 +202,13 @@ def _check_parts(h: Hypergraph, parts: Sequence[Iterable[int]]) -> list[set[int]
     return sets
 
 
-def induced_multipartite(
-    h: Hypergraph, parts: Sequence[Iterable[int]], *, single: bool = False
-) -> Hypergraph:
+def induced_multipartite(h: Hypergraph, parts: Sequence[Iterable[int]]) -> Hypergraph:
     """Sub-hypergraph induced by disjoint vertex classes.
 
-    Default: keep edges that lie inside the union of the parts and touch each
-    part at most once.  With single=True exactly one part is expected and the
-    plain induced sub-hypergraph on that set is returned.  The vertex set is
-    unchanged; only edges are filtered.
+    Keeps edges that lie inside the union of the parts and touch each part at
+    most once.  The vertex set is unchanged; only edges are filtered.
     """
     sets = _check_parts(h, parts)
-    if single:
-        if len(sets) != 1:
-            raise ValueError("single=True expects exactly one part")
-        u = sets[0]
-        kept = [e for e in h.edges if u.issuperset(e)]
-        return Hypergraph(h.n, h.r, tuple(kept))
     union: set[int] = set().union(*sets) if sets else set()
     kept = []
     for e in h.edges:
@@ -232,7 +221,8 @@ def induced_multipartite(
 
 def induced_subgraph(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
     """Edges lying entirely inside the given vertex set (labels unchanged)."""
-    return induced_multipartite(h, [vertices], single=True)
+    (u,) = _check_parts(h, [vertices])
+    return Hypergraph(h.n, h.r, tuple(e for e in h.edges if u.issuperset(e)))
 
 
 def is_independent(h: Hypergraph, vertices: Iterable[int], mode: str = "weak") -> bool:
@@ -314,115 +304,19 @@ class Embedding:
         return tuple(self.image_edge(e) for e in f.edges)
 
 
-def _embed_order(f: Hypergraph, vertices: Sequence[int]) -> list[int]:
-    """Static assignment order: grow along shared edges where possible."""
-    remaining = list(vertices)
-    if not remaining:
-        return []
-    order: list[int] = []
-    placed: set[int] = set()
+def has_copy(f: Hypergraph, h: Hypergraph) -> bool:
+    """Whether h contains at least one copy of f.
 
-    def weight(v: int) -> tuple[int, int, int]:
-        shared = sum(1 for e in f.incident[v] if placed.intersection(e))
-        return (shared, f.degrees[v], -v)
-
-    first = max(remaining, key=lambda v: (f.degrees[v], -v))
-    order.append(first)
-    placed.add(first)
-    remaining.remove(first)
-    while remaining:
-        nxt = max(remaining, key=weight)
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
-    return order
-
-
-def enumerate_copies(
-    f: Hypergraph,
-    h: Hypergraph,
-    *,
-    limit: Optional[int] = None,
-    distinct: bool = False,
-    include_isolated: bool = False,
-) -> Iterator[Embedding]:
-    """Yield embeddings of f into h in a fixed deterministic order.
-
-    An embedding sends the non-isolated vertices of f (all vertices with
-    include_isolated=True) injectively into h so that every edge of f lands on
-    an edge of h.  With distinct=True only one representative per copy is
-    yielded, where a copy is identified by its set of image edges.
-
-    A pattern with no edges (and no vertices to place) yields exactly one
-    empty embedding: every host contains it.
+    A copy is a rainbow copy when every host edge has its own color, so this
+    is a free RainbowEmbedder search that colors each present edge by itself.
     """
+    from .coloring import RainbowEmbedder  # coloring imports this module
+
     if f.r != h.r:
         raise ValueError(f"uniformity mismatch: pattern r={f.r}, host r={h.r}")
-    verts = list(range(f.n)) if include_isolated else list(f.non_isolated)
-    budget = limit if limit is not None else -1
-
-    if len(verts) > h.n:
-        return
-    order = _embed_order(f, verts)
-    pos_of = {v: i for i, v in enumerate(order)}
-    # edges become fully mapped at the position of their latest vertex
-    completed: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for e in f.edges:
-        if all(v in pos_of for v in e):
-            completed[max(pos_of[v] for v in e)].append(e)
-    # edges touching unmapped (isolated is impossible, but guard) vertices
-    if any(v not in pos_of for e in f.edges for v in e):
-        raise AssertionError("edge through an unmapped vertex")
-
-    images: list[Optional[int]] = [None] * f.n
-    used = [False] * h.n
-    seen_copies: set[frozenset[tuple[int, ...]]] = set()
-    emitted = 0
-
-    def leaves() -> Iterator[Embedding]:
-        nonlocal emitted
-        depth = len(order)
-
-        def rec(i: int) -> Iterator[Embedding]:
-            nonlocal emitted
-            if i == depth:
-                emb = Embedding(tuple(images))
-                if distinct:
-                    key = frozenset(emb.image_edges(f))
-                    if key in seen_copies:
-                        return
-                    seen_copies.add(key)
-                emitted += 1
-                yield emb
-                return
-            v = order[i]
-            for cand in range(h.n):
-                if used[cand]:
-                    continue
-                images[v] = cand
-                ok = True
-                for e in completed[i]:
-                    img = tuple(sorted(images[u] for u in e))  # type: ignore[misc]
-                    if img not in h.edge_set:
-                        ok = False
-                        break
-                if ok:
-                    used[cand] = True
-                    yield from rec(i + 1)
-                    used[cand] = False
-                if emitted == budget:
-                    images[v] = None
-                    return
-            images[v] = None
-
-        yield from rec(0)
-
-    yield from leaves()
-
-
-def has_copy(f: Hypergraph, h: Hypergraph) -> bool:
-    """Whether h contains at least one copy of f."""
-    return next(enumerate_copies(f, h, limit=1), None) is not None
+    present = h.edge_set
+    emb, _ = RainbowEmbedder(h.n, f).find(lambda img: img if img in present else None)
+    return emb is not None
 
 
 @dataclass(frozen=True)

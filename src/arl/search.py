@@ -10,6 +10,8 @@ Two solvers share the same report shape:
 
 Both walk edges in colex rank order and prune through checks anchored at the
 newest decision, so a feasible prefix is never re-tested against old edges.
+The walks keep explicit stacks, so host size is not capped by the
+interpreter's recursion limit.
 Budgets cap nodes and wall time; a tripped budget yields an honest
 "budget_exhausted" report instead of an unproven value.
 """
@@ -102,13 +104,6 @@ def _coerce_family(patterns: Union[Hypergraph, Family, Iterable[Hypergraph]]) ->
     return make_family(list(patterns))
 
 
-def _check_threads(threads: int) -> None:
-    # accepted for interface stability; the schedule is one deterministic
-    # thread regardless, so results cannot depend on the value
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
-
-
 def _edges_payload(fam: Family) -> list:
     return [[list(e) for e in m.edges] for m in fam.members]
 
@@ -141,7 +136,6 @@ def exact_turan(
     *,
     budget: Optional[SearchBudget] = None,
     root_symmetry: bool = False,
-    threads: int = 1,
 ) -> SearchReport:
     """Maximum edge count of a pattern-free r-graph on n vertices.
 
@@ -154,7 +148,6 @@ def exact_turan(
     the answer, only the node count.
     """
     fam = _coerce_family(patterns)
-    _check_threads(threads)
     if n < 0:
         raise ValueError("n must be nonnegative")
     for m in fam.members:
@@ -195,48 +188,42 @@ def exact_turan(
                 return True
         return False
 
-    def dfs(j: int, count: int, chosen: list[tuple[int, ...]]) -> None:
-        nonlocal best, best_edges
-        meter.tick()
-        if count + (M - j) <= best:
-            return
-        if j == M:
-            best = count
-            best_edges = tuple(chosen)
-            return
-        present[j] = 1
-        if not completes_copy(j):
-            chosen.append(edges[j])
-            dfs(j + 1, count + 1, chosen)
-            chosen.pop()
-        present[j] = 0
-        dfs(j + 1, count, chosen)
-
+    # Explicit-stack DFS, include branch first.  An entry (j, count, undo)
+    # visits the node deciding edge j with count edges chosen so far; with
+    # undo set it first retracts edge j, whose include subtree is finished,
+    # and visits the exclude branch at j + 1.  present marks the chosen edges.
+    if root_symmetry and M > 0:
+        present[0] = 1
+        stack = [] if completes_copy(0) else [(1, 1, False)]
+    else:
+        stack = [(0, 0, False)]
     status = "exact"
     try:
-        if root_symmetry and M > 0:
-            present[0] = 1
-            if not completes_copy(0):
-                dfs(1, 1, [edges[0]])
-            present[0] = 0
-        else:
-            dfs(0, 0, [])
+        while stack:
+            j, count, undo = stack.pop()
+            if undo:
+                present[j] = 0
+                j += 1
+            meter.tick()
+            if count + (M - j) <= best:
+                continue
+            if j == M:
+                best = count
+                best_edges = tuple(e for e, p in zip(edges, present) if p)
+                continue
+            present[j] = 1
+            if completes_copy(j):
+                present[j] = 0
+                stack.append((j + 1, count, False))
+            else:
+                stack.append((j, count, True))
+                stack.append((j + 1, count + 1, False))
     except _OutOfBudget:
         status = "budget_exhausted"
 
-    witness = make_hypergraph(n, r, best_edges)
-    if status == "exact":
-        return SearchReport(
-            value=best,
-            witness=witness,
-            nodes=meter.nodes,
-            elapsed=meter.elapsed,
-            status=status,
-            instance=instance,
-        )
     return SearchReport(
-        value=None,
-        witness=witness,
+        value=best if status == "exact" else None,
+        witness=make_hypergraph(n, r, best_edges),
         nodes=meter.nodes,
         elapsed=meter.elapsed,
         status=status,
@@ -251,7 +238,6 @@ def exact_anti_ramsey(
     budget: Optional[SearchBudget] = None,
     prune_bound: bool = True,
     count_leaves: bool = False,
-    threads: int = 1,
 ) -> SearchReport:
     """Smallest color count forcing a rainbow copy of the pattern in K_n^r.
 
@@ -267,7 +253,6 @@ def exact_anti_ramsey(
     reported, which gives an independent Bell-number cross-check on the
     enumeration when the pattern cannot embed at all.
     """
-    _check_threads(threads)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if pattern.num_edges == 0:
@@ -296,53 +281,40 @@ def exact_anti_ramsey(
     best_colors: Optional[tuple[int, ...]] = None
     leaves = 0
 
-    def dfs(j: int, top: int) -> None:
-        # top = number of colors used so far on edges < j
-        nonlocal best, best_colors, leaves
-        if j == M:
-            leaves += 1
-            if top > best:
-                best = top
-                best_colors = tuple(colors)
-            return
-        if prune_bound and top + (M - j) <= best:
-            return
-        assigned[j] = 1
-        for c in range(top + 1):
+    # Explicit-stack DFS.  An entry (j, top, c) tries color c on edge j, where
+    # top is the number of colors used on edges < j; c == 0 first enters the
+    # node, and c > top leaves it.  The entry for c + 1 sits below the child
+    # of c, so siblings run in increasing color order after each subtree.
+    stack = [(0, 0, 0)]
+    status = "exact"
+    try:
+        while stack:
+            j, top, c = stack.pop()
+            if c == 0:
+                if j == M:
+                    leaves += 1
+                    if top > best:
+                        best = top
+                        best_colors = tuple(colors)
+                    continue
+                if prune_bound and top + (M - j) <= best:
+                    continue
+                assigned[j] = 1
+            if c > top:
+                assigned[j] = 0
+                continue
+            stack.append((j, top, c + 1))
             meter.tick()
             colors[j] = c
             hit, _ = engine.find(color_at, anchor=edges[j])
             if hit is None:
-                dfs(j + 1, max(top, c + 1))
-        assigned[j] = 0
-
-    status = "exact"
-    try:
-        if M == 0:
-            leaves = 1
-            best = 0
-            best_colors = ()
-        else:
-            dfs(0, 0)
+                stack.append((j + 1, max(top, c + 1), 0))
     except _OutOfBudget:
         status = "budget_exhausted"
 
-    witness: Optional[Coloring] = None
-    if best_colors is not None:
-        witness = make_coloring(n, r, best_colors)
-    if status == "exact":
-        return SearchReport(
-            value=max(best, 0) + 1,
-            witness=witness,
-            nodes=meter.nodes,
-            elapsed=meter.elapsed,
-            status=status,
-            instance=instance,
-            leaves=leaves if count_leaves else None,
-        )
     return SearchReport(
-        value=None,
-        witness=witness,
+        value=max(best, 0) + 1 if status == "exact" else None,
+        witness=None if best_colors is None else make_coloring(n, r, best_colors),
         nodes=meter.nodes,
         elapsed=meter.elapsed,
         status=status,
@@ -354,8 +326,9 @@ def exact_anti_ramsey(
 def verify_feasibility(report: SearchReport) -> bool:
     """Re-check a report's witness along an independent path.
 
-    Turan witnesses are re-tested with the unanchored copy enumerator;
-    coloring witnesses with the from-scratch rainbow search.  Only feasibility
+    Turan witnesses are re-tested with has_copy, a free (unanchored) search
+    over the whole witness rather than the solver's anchored checks; coloring
+    witnesses with the from-scratch rainbow search.  Only feasibility
     is certified here (the witness attains the claimed value and satisfies
     the constraint), not optimality.
     """

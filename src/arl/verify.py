@@ -30,7 +30,6 @@ from .coloring import (
 )
 from .constructions import (
     complete_graph,
-    complete_hypergraph,
     expansion,
     minus_family,
     path_graph,
@@ -45,7 +44,6 @@ from .constructions import (
 from .hypergraph import (
     Hypergraph,
     colex_rank,
-    enumerate_copies,
     has_copy,
     independent_sets,
     kn_edges,
@@ -321,9 +319,11 @@ def _random_coloring(rng: random.Random, n: int, r: int) -> Coloring:
 
 
 def _naive_has_rainbow(chi: Coloring, f: Hypergraph) -> bool:
-    host = complete_hypergraph(chi.n, chi.r)
-    for emb in enumerate_copies(f, host):
-        cols = [chi.colors[colex_rank(e)] for e in emb.image_edges(f)]
+    """Try every injective map of f's non-isolated vertices into K_n^r."""
+    verts = f.non_isolated
+    for choice in itertools.permutations(range(chi.n), len(verts)):
+        phi = dict(zip(verts, choice))
+        cols = [chi.colors[colex_rank(sorted(phi[v] for v in e))] for e in f.edges]
         if len(set(cols)) == len(cols):
             return True
     return False

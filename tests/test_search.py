@@ -117,10 +117,6 @@ class TestExactTuran:
         with pytest.raises(ValueError):
             exact_turan(4, [K3, single_edge(3)])
 
-    def test_threads_argument(self):
-        assert exact_turan(5, [K3], threads=4).value == exact_turan(5, [K3]).value
-        with pytest.raises(ValueError):
-            exact_turan(5, [K3], threads=0)
 
 
 class TestExactAntiRamsey:
@@ -197,6 +193,17 @@ class TestExactAntiRamsey:
         rep = exact_anti_ramsey(2, K3)
         assert rep.value == 2  # 1-coloring is rainbow-K3-free, so ar = 1+1
         assert rep.witness.num_colors == 1
+
+
+def test_budget_exhaustion_on_deep_host():
+    # C(50,2) = 1225 edge decisions: deeper than the interpreter's default
+    # recursion limit, so the budget has to trip first
+    budget = SearchBudget(max_nodes=5000)
+    ex_rep = exact_turan(50, [K3], budget=budget)
+    ar_rep = exact_anti_ramsey(50, K3, budget=budget)
+    assert ex_rep.status == ar_rep.status == "budget_exhausted"
+    assert ex_rep.value is None and ar_rep.value is None
+    assert verify_feasibility(ex_rep)
 
 
 class TestVerifyFeasibility:
