@@ -25,6 +25,7 @@ __all__ = [
     "canonical_form",
     "canonical_key",
     "are_isomorphic",
+    "automorphism_generators",
 ]
 
 DEFAULT_VERTEX_CAP = 16
@@ -145,6 +146,16 @@ def _search(h: Hypergraph) -> tuple[list[int], list[tuple[int, ...]]]:
         rec(_refine(h, [list(range(n))]), [])
     assert best_lab is not None or n == 0
     return (best_lab or []), gens
+
+
+def automorphism_generators(h: Hypergraph) -> list[tuple[int, ...]]:
+    """Automorphisms of h met at equivalent leaves of the canonical search.
+
+    Each generator g maps vertex v to g[v].  They generate a subgroup of
+    Aut(h) (on the tested corpus, all of it), which is what orbit pruning
+    needs to stay sound.  No vertex cap: callers pass small patterns.
+    """
+    return _search(h)[1]
 
 
 def canonical_form(h: Hypergraph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Hypergraph:

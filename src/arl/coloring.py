@@ -7,7 +7,11 @@ is intrinsic, so "number of colors" always means num_colors.
 A rainbow copy of a pattern F is an embedding of F's non-isolated vertices
 into the host such that the image edges carry pairwise distinct colors.  The
 detector is an exhaustive backtracking search; running out of budget raises
-BudgetExhausted rather than ever reporting a false "no copy".
+BudgetExhausted rather than ever reporting a false "no copy".  It reads
+colors through a color_at callback keyed by an image edge's vertex mask
+(int, bit v per host vertex v), with None for an unusable edge.  A search
+anchored at a host edge tries one seed per Aut(F) orbit of ordered pattern
+edges; the seeds are built on the first anchored search.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
+from .canonical import automorphism_generators
 from .constructions import turan_partition
 from .hypergraph import (
     Embedding,
@@ -25,7 +30,9 @@ from .hypergraph import (
     Hypergraph,
     colex_rank,
     kn_edges,
+    kn_mask_ranks,
     make_hypergraph,
+    vertex_mask,
 )
 
 __all__ = [
@@ -164,10 +171,15 @@ class RainbowEmbedder:
     """Reusable search plans for rainbow copies of one pattern in K_n^r.
 
     The pattern's non-isolated vertices are embedded injectively; image edges
-    must be colored (color_at returning None marks an edge unusable) with
-    pairwise distinct colors.  Plans are precomputed so solvers can run the
-    anchored variant millions of times cheaply.  Plain containment is the
-    case where every present host edge has its own color (see has_copy).
+    must be colored with pairwise distinct colors.  color_at receives an image
+    edge as its vertex mask (bit v set for each host vertex v, see
+    vertex_mask) and returns the edge's color, or None when the edge is
+    unusable.  Plain containment is the case where every present host edge
+    has its own color (see has_copy).
+
+    The free plan is built here, so solvers can run find millions of times
+    cheaply.  The anchored seeds are built on the first anchored find:
+    callers that only run free searches never compute Aut(F).
     """
 
     def __init__(self, n: int, f: Hypergraph):
@@ -176,11 +188,42 @@ class RainbowEmbedder:
         self.verts = list(f.non_isolated)
         self.order = self._order(self.verts, seed=())
         self.schedule = self._schedule(self.order)
-        # anchored plans: one per pattern edge
-        self.anchored_plans = []
-        for fe in f.edges:
-            order = self._order(self.verts, seed=fe)
-            self.anchored_plans.append((fe, order, self._schedule(order)))
+
+    @cached_property
+    def anchored_plans(self) -> list[tuple[list[tuple[int, ...]], list[int], list]]:
+        """(seeds, order, schedule) for each pattern edge fe keeping a seed.
+
+        A seed is an ordering t of fe; t[k] goes onto the k-th vertex of the
+        sorted anchor.  Only the first seed, in (fe, permutation) order, of
+        each orbit of ordered pattern edges under Aut(F) is kept.  That is
+        sound: if phi is an embedding through seed t and alpha an
+        automorphism, phi o alpha^-1 is an embedding through seed alpha(t)
+        with the same image edges, colors and anchor, so one seed per orbit
+        settles the same yes/no question.  Orbits are closed over the
+        generators the canonical search finds.
+        """
+        gens = automorphism_generators(self.f)
+        seen: set[tuple[int, ...]] = set()
+        plans = []
+        for fe in self.f.edges:
+            seeds = []
+            for t in itertools.permutations(fe):
+                if t in seen:
+                    continue
+                seeds.append(t)
+                seen.add(t)
+                frontier = [t]
+                while frontier:
+                    s = frontier.pop()
+                    for g in gens:
+                        u = tuple(g[v] for v in s)
+                        if u not in seen:
+                            seen.add(u)
+                            frontier.append(u)
+            if seeds:
+                order = self._order(self.verts, seed=fe)
+                plans.append((seeds, order, self._schedule(order)))
+        return plans
 
     def _order(self, verts: Sequence[int], seed: Sequence[int]) -> list[int]:
         remaining = [v for v in verts if v not in seed]
@@ -202,61 +245,72 @@ class RainbowEmbedder:
         return order
 
     def _schedule(self, order: Sequence[int]) -> list[list[tuple[int, ...]]]:
+        """Per position i, the edges whose last vertex in order is order[i],
+        each given by its other vertices."""
         pos = {v: i for i, v in enumerate(order)}
         sched: list[list[tuple[int, ...]]] = [[] for _ in order]
         for e in self.f.edges:
-            sched[max(pos[v] for v in e)].append(e)
+            i = max(pos[v] for v in e)
+            sched[i].append(tuple(u for u in e if u != order[i]))
         return sched
 
     def find(
         self,
-        color_at: Callable[[tuple[int, ...]], Optional[int]],
+        color_at: Callable[[int], Optional[int]],
         anchor: Optional[tuple[int, ...]] = None,
         max_nodes: Optional[int] = None,
     ) -> tuple[Optional[Embedding], int]:
         """First rainbow embedding in deterministic order, or None.
 
-        With an anchor, only embeddings whose image includes the anchor edge
-        are considered.  Returns (embedding, nodes).  Raises BudgetExhausted
+        color_at maps an image edge's vertex mask to its color, or to None
+        when the edge is unusable.  With an anchor, only embeddings whose
+        image includes the anchor edge are considered, and only one seed per
+        Aut(F) orbit is tried (see anchored_plans, built on the first
+        anchored call).  Returns (embedding, nodes).  Raises BudgetExhausted
         when max_nodes assignments were tried without settling the question.
         """
         f = self.f
-        if len(self.verts) > self.n:
+        n = self.n
+        if len(self.verts) > n:
             return None, 0
         nodes = 0
         images: list[Optional[int]] = [None] * f.n
-        used_v = [False] * self.n
+        bits = [0] * f.n  # bits[v] == 1 << images[v] once v is placed
 
-        def dfs(order, sched, i, used_colors) -> Optional[Embedding]:
+        def dfs(order, sched, i, used, used_colors) -> Optional[Embedding]:
             nonlocal nodes
             if i == len(order):
                 return Embedding(tuple(images))
             v = order[i]
-            for cand in range(self.n):
-                if used_v[cand]:
+            # masks of the already placed vertices of the edges v completes
+            rests = []
+            for others in sched[i]:
+                rest = 0
+                for u in others:
+                    rest |= bits[u]
+                rests.append(rest)
+            for cand in range(n):
+                bit = 1 << cand
+                if used & bit:
                     continue
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise BudgetExhausted(nodes)
-                images[v] = cand
                 added: list[int] = []
-                ok = True
-                for e in sched[i]:
-                    img = tuple(sorted(images[u] for u in e))  # type: ignore[misc]
-                    c = color_at(img)
+                for rest in rests:
+                    c = color_at(rest | bit)
                     if c is None or c in used_colors or c in added:
-                        ok = False
                         break
                     added.append(c)
-                if ok:
-                    used_v[cand] = True
+                else:
+                    images[v] = cand
+                    bits[v] = bit
                     used_colors.update(added)
-                    hit = dfs(order, sched, i + 1, used_colors)
-                    used_v[cand] = False
-                    used_colors.difference_update(added)
+                    hit = dfs(order, sched, i + 1, used | bit, used_colors)
                     if hit is not None:
                         return hit
-                images[v] = None
+                    used_colors.difference_update(added)
+            images[v] = None
             return None
 
         if f.num_edges == 0:
@@ -266,47 +320,30 @@ class RainbowEmbedder:
             return Embedding(tuple(images)), 0
 
         if anchor is None:
-            hit = dfs(self.order, self.schedule, 0, set())
+            hit = dfs(self.order, self.schedule, 0, 0, set())
             return hit, nodes
 
         anchor = tuple(sorted(anchor))
-        base = color_at(anchor)
+        amask = vertex_mask(anchor)
+        base = color_at(amask)
         if base is None:
             return None, 0
-        for fe, order, sched in self.anchored_plans:
-            for assignment in itertools.permutations(anchor):
+        for seeds, order, sched in self.anchored_plans:
+            for seed in seeds:
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise BudgetExhausted(nodes)
-                for v, host in zip(fe, assignment):
+                for v, host in zip(seed, anchor):
                     images[v] = host
-                    used_v[host] = True
-                # the only edge completed by the seed is fe itself (distinct
-                # edges are distinct r-sets), and its image is the anchor
-                used_colors = {base}
-                hit = dfs(order, sched, len(fe), used_colors)
-                for v in fe:
-                    host = images[v]
-                    images[v] = None
-                    if host is not None:
-                        used_v[host] = False
+                    bits[v] = 1 << host
+                # the only edge completed by the seed is its own pattern edge
+                # (distinct edges are distinct r-sets), whose image is the anchor
+                hit = dfs(order, sched, f.r, amask, {base})
                 if hit is not None:
                     return hit, nodes
+                for v in seed:
+                    images[v] = None
         return None, nodes
-
-
-def _witness_from(
-    chi_color: Callable[[tuple[int, ...]], Optional[int]],
-    f: Hypergraph,
-    emb: Embedding,
-) -> RainbowWitness:
-    pairs = []
-    for e in f.edges:
-        img = emb.image_edge(e)
-        c = chi_color(img)
-        assert c is not None
-        pairs.append((img, c))
-    return RainbowWitness(embedding=emb, edge_colors=tuple(pairs))
 
 
 def find_rainbow_copy(
@@ -321,12 +358,15 @@ def find_rainbow_copy(
     """
     if f.r != chi.r:
         raise ValueError(f"uniformity mismatch: pattern {f.r}, coloring {chi.r}")
-    emb_engine = RainbowEmbedder(chi.n, f)
-    color_at = lambda img: chi.colors[colex_rank(img)]
-    emb, _ = emb_engine.find(color_at, max_nodes=limit)
+    colors = chi.colors
+    rank_of = kn_mask_ranks(chi.n, chi.r)
+    emb, _ = RainbowEmbedder(chi.n, f).find(
+        lambda m: colors[rank_of[m]], max_nodes=limit
+    )
     if emb is None:
         return None
-    return _witness_from(color_at, f, emb)
+    pairs = tuple((img, chi.color_of(img)) for img in emb.image_edges(f))
+    return RainbowWitness(embedding=emb, edge_colors=pairs)
 
 
 def is_rainbow_family_free(

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "Hypergraph",
@@ -21,6 +22,8 @@ __all__ = [
     "colex_key",
     "colex_rank",
     "kn_edges",
+    "kn_mask_ranks",
+    "vertex_mask",
     "make_hypergraph",
     "make_family",
     "relabel",
@@ -58,6 +61,24 @@ def kn_edges(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     if n < 0 or r < 0:
         raise ValueError("n and r must be nonnegative")
     return tuple(sorted(itertools.combinations(range(n), r), key=colex_key))
+
+
+def vertex_mask(edge: Iterable[int]) -> int:
+    """The vertex set of an edge as a bitmask with bit v set for vertex v.
+
+    Order-free, so an edge is keyed without sorting its vertices; this is the
+    key RainbowEmbedder.find hands to color_at.
+    """
+    m = 0
+    for v in edge:
+        m |= 1 << v
+    return m
+
+
+@lru_cache(maxsize=None)
+def kn_mask_ranks(n: int, r: int) -> Mapping[int, int]:
+    """Read-only map vertex_mask(e) -> colex_rank(e) over the r-subsets of range(n)."""
+    return MappingProxyType({vertex_mask(e): i for i, e in enumerate(kn_edges(n, r))})
 
 
 @dataclass(frozen=True)
@@ -308,14 +329,16 @@ def has_copy(f: Hypergraph, h: Hypergraph) -> bool:
     """Whether h contains at least one copy of f.
 
     A copy is a rainbow copy when every host edge has its own color, so this
-    is a free RainbowEmbedder search that colors each present edge by itself.
+    is a free RainbowEmbedder search that colors each present edge by its
+    vertex mask.  A free search never builds the embedder's anchored seeds,
+    so no automorphism group is computed here.
     """
     from .coloring import RainbowEmbedder  # coloring imports this module
 
     if f.r != h.r:
         raise ValueError(f"uniformity mismatch: pattern r={f.r}, host r={h.r}")
-    present = h.edge_set
-    emb, _ = RainbowEmbedder(h.n, f).find(lambda img: img if img in present else None)
+    present = frozenset(vertex_mask(e) for e in h.edges)
+    emb, _ = RainbowEmbedder(h.n, f).find(lambda m: m if m in present else None)
     return emb is not None
 
 

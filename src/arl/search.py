@@ -27,9 +27,9 @@ from .coloring import Coloring, RainbowEmbedder, make_coloring
 from .hypergraph import (
     Family,
     Hypergraph,
-    colex_rank,
     has_copy,
     kn_edges,
+    kn_mask_ranks,
     make_family,
     make_hypergraph,
 )
@@ -167,13 +167,13 @@ def exact_turan(
     members = _drop_redundant(fam)
     matchers = [RainbowEmbedder(n, m) for m in members]
     matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
-    rank_of = {e: i for i, e in enumerate(edges)}
+    rank_of = kn_mask_ranks(n, r)
     present = bytearray(M)
 
-    def colored(img: tuple[int, ...]) -> Optional[int]:
+    def colored(mask: int) -> Optional[int]:
         # distinct present edges get distinct "colors", so a rainbow copy is
         # exactly a copy
-        ri = rank_of[img]
+        ri = rank_of[mask]
         return ri if present[ri] else None
 
     meter = _Meter(budget)
@@ -272,8 +272,10 @@ def exact_anti_ramsey(
     colors = [0] * M
     assigned = bytearray(M)
 
-    def color_at(img: tuple[int, ...]) -> Optional[int]:
-        ri = colex_rank(img)
+    rank_of = kn_mask_ranks(n, r)
+
+    def color_at(mask: int) -> Optional[int]:
+        ri = rank_of[mask]
         return colors[ri] if assigned[ri] else None
 
     meter = _Meter(budget)

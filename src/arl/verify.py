@@ -210,6 +210,16 @@ def _crit_layered(budget) -> list[CheckRow]:
                 note,
             )
         )
+    # why the n=4 row above must fail: no coloring of K_4^3 has 5 colors
+    want, triples = turan_count(4, 3, 3) + 3, comb(4, 3)
+    rows.append(
+        _row(
+            "layered(4,3) unreachable: t_3(4,3)+3 > C(4,3) triples",
+            "more colors than triples",
+            f"{want} colors, {triples} triples",
+            want > triples,
+        )
+    )
     return rows
 
 

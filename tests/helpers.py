@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from arl.coloring import Coloring, make_coloring
 from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_hypergraph
@@ -47,6 +47,24 @@ def naive_has_rainbow(chi: Coloring, f: Hypergraph) -> bool:
             continue
         cols = [chi.colors[colex_rank(img)] for img in imgs]
         if len(set(cols)) == len(cols):
+            return True
+    return False
+
+
+def naive_has_anchored_rainbow(
+    n: int, f: Hypergraph, colors: Sequence[Optional[int]], anchor: Sequence[int]
+) -> bool:
+    """Whether some rainbow copy of f in K_n^r has the anchor among its image
+    edges.  colors is indexed by colex rank; None marks an absent edge."""
+    anchor = tuple(sorted(anchor))
+    verts = f.non_isolated
+    for choice in itertools.permutations(range(n), len(verts)):
+        phi = dict(zip(verts, choice))
+        imgs = [tuple(sorted(phi[v] for v in e)) for e in f.edges]
+        if anchor not in imgs:
+            continue
+        cols = [colors[colex_rank(img)] for img in imgs]
+        if None not in cols and len(set(cols)) == len(cols):
             return True
     return False
 

@@ -10,10 +10,18 @@ from arl.canonical import (
     DEFAULT_VERTEX_CAP,
     TooLargeError,
     are_isomorphic,
+    automorphism_generators,
     canonical_form,
     canonical_key,
 )
-from arl.constructions import complete_graph, path_graph, turan_hypergraph
+from arl.constructions import (
+    complete_graph,
+    complete_hypergraph,
+    expansion,
+    named_hypergraph,
+    path_graph,
+    turan_hypergraph,
+)
 from arl.hypergraph import kn_edges, make_hypergraph, relabel
 
 
@@ -106,3 +114,55 @@ class TestAreIsomorphic:
         a = make_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])  # path
         b = make_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])  # star
         assert not are_isomorphic(a, b)
+
+
+def close_group(gens, n):
+    """All products of the generators, as vertex maps p with p[v] the image."""
+    identity = tuple(range(n))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[p[v]] for v in range(n))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def brute_automorphisms(h):
+    return {
+        p
+        for p in itertools.permutations(range(h.n))
+        if all(tuple(sorted(p[v] for v in e)) in h.edge_set for e in h.edges)
+    }
+
+
+class TestAutomorphismGenerators:
+    @pytest.mark.parametrize(
+        "name, h, order",
+        [
+            ("K2", named_hypergraph("K2"), 2),
+            ("K3", named_hypergraph("K3"), 6),
+            ("K4", named_hypergraph("K4"), 24),
+            ("K5", named_hypergraph("K5"), 120),
+            ("C4", named_hypergraph("C4"), 8),
+            ("C5", named_hypergraph("C5"), 10),
+            ("C6", named_hypergraph("C6"), 12),
+            ("P3", named_hypergraph("P3"), 2),
+            ("P4", named_hypergraph("P4"), 2),
+            ("triple", named_hypergraph("triple"), 6),
+            ("K4^3", complete_hypergraph(4, 3), 24),
+            ("K5^3", complete_hypergraph(5, 3), 120),
+            ("expansion(K3,3)", expansion(complete_graph(3), 3), 6),
+            ("expansion(P3,3)", expansion(path_graph(2), 3), 8),
+            ("K3+2K1", make_hypergraph(5, 2, complete_graph(3).edges), 12),
+        ],
+    )
+    def test_generate_full_group(self, name, h, order):
+        gens = automorphism_generators(h)
+        assert all(sorted(g) == list(range(h.n)) for g in gens)
+        group = close_group(gens, h.n)
+        assert group == brute_automorphisms(h)
+        assert len(group) == order

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arl.coloring
 from arl.coloring import (
     BudgetExhausted,
     Coloring,
+    RainbowEmbedder,
     RainbowWitness,
     find_rainbow_copy,
     is_rainbow_family_free,
@@ -16,9 +18,26 @@ from arl.coloring import (
     max_rainbow_subgraph,
     merge_colors,
 )
-from arl.constructions import complete_graph, path_graph, turan_count
-from arl.hypergraph import Embedding, colex_rank, kn_edges, make_family, make_hypergraph
-from helpers import naive_has_rainbow
+from arl.constructions import (
+    complete_graph,
+    complete_hypergraph,
+    cycle_graph,
+    expansion,
+    path_graph,
+    single_edge,
+    turan_count,
+    turan_hypergraph,
+)
+from arl.hypergraph import (
+    Embedding,
+    colex_rank,
+    has_copy,
+    kn_edges,
+    kn_mask_ranks,
+    make_family,
+    make_hypergraph,
+)
+from helpers import naive_has_anchored_rainbow, naive_has_rainbow
 
 K3 = complete_graph(3)
 
@@ -158,6 +177,66 @@ class TestFindRainbow:
             return
         f = make_hypergraph(4, 2, edges)
         assert (find_rainbow_copy(chi, f) is not None) == naive_has_rainbow(chi, f)
+
+
+ANCHORED_PATTERNS = {
+    "K3": K3,
+    "C4": cycle_graph(4),
+    "P3": path_graph(2),
+    "K4^3": complete_hypergraph(4, 3),
+    "triple": single_edge(3),
+    "expansion(P3,3)": expansion(path_graph(2), 3),
+    "K3+K1": make_hypergraph(4, 2, K3.edges),
+}
+
+
+@st.composite
+def partial_colorings(draw, r):
+    """(n, colors by colex rank) with None for absent edges: either distinct
+    colors on the present edges, as exact_turan colors, or a random partial
+    coloring from a few colors, as exact_anti_ramsey's prefixes are."""
+    n = draw(st.integers(r, 6))
+    M = comb(n, r)
+    if draw(st.booleans()):
+        present = draw(st.lists(st.booleans(), min_size=M, max_size=M))
+        return n, [i if p else None for i, p in enumerate(present)]
+    palette = draw(st.integers(1, 4))
+    cell = st.one_of(st.none(), st.integers(0, palette - 1))
+    return n, draw(st.lists(cell, min_size=M, max_size=M))
+
+
+class TestAnchoredFind:
+    @pytest.mark.parametrize("name", sorted(ANCHORED_PATTERNS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_against_naive_every_anchor(self, name, data):
+        f = ANCHORED_PATTERNS[name]
+        n, colors = data.draw(partial_colorings(f.r))
+        rank_of = kn_mask_ranks(n, f.r)
+        engine = RainbowEmbedder(n, f)
+        for anchor in kn_edges(n, f.r):
+            hit, _ = engine.find(lambda m: colors[rank_of[m]], anchor=anchor)
+            assert (hit is not None) == naive_has_anchored_rainbow(n, f, colors, anchor)
+            if hit is not None:
+                imgs = hit.image_edges(f)
+                assert anchor in imgs
+                assert len({colors[colex_rank(img)] for img in imgs}) == f.num_edges
+
+    def test_free_callers_never_compute_automorphisms(self, monkeypatch):
+        class AutomorphismsComputed(Exception):
+            pass
+
+        def refuse(h):
+            raise AutomorphismsComputed
+
+        monkeypatch.setattr(arl.coloring, "automorphism_generators", refuse)
+        host = turan_hypergraph(9, 3, 3)
+        assert has_copy(expansion(complete_graph(4), 3), host) is False
+        assert has_copy(complete_hypergraph(4, 3), host) is False
+        assert find_rainbow_copy(layered_coloring(7, 3), expansion(complete_graph(4), 3)) is None
+        # the anchored path does reach the patched name
+        with pytest.raises(AutomorphismsComputed):
+            RainbowEmbedder(4, K3).find(lambda m: m, anchor=(0, 1))
 
 
 class TestWitnessType:
