@@ -91,7 +91,8 @@ def _compare(
     note: str = "",
 ) -> BoundRow:
     if ar is None or rhs is None:
-        why = note or "budget"
+        # with rhs known, only the ar solve can have left the row open
+        why = note if rhs is None and note else "budget"
         verdict = "not-applicable" if why == "undefined" else "indeterminate"
         return BoundRow(name, ar, relation, rhs, verdict, hard, why)
     holds = ar >= rhs if relation == ">=" else ar <= rhs

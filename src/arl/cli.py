@@ -203,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(b)
 
     v = sub.add_parser("verify-paper", help="run the named check suite")
-    v.add_argument("--budget-nodes", type=int, default=None)
-    v.add_argument("--budget-secs", type=float, default=None)
+    _add_budget_flags(v)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--only", default=None, help="run only matching check groups")
     _add_io_flags(v)

@@ -30,7 +30,6 @@ from .hypergraph import (
     Hypergraph,
     colex_rank,
     kn_edges,
-    kn_mask_ranks,
     make_hypergraph,
     vertex_mask,
 )
@@ -358,11 +357,8 @@ def find_rainbow_copy(
     """
     if f.r != chi.r:
         raise ValueError(f"uniformity mismatch: pattern {f.r}, coloring {chi.r}")
-    colors = chi.colors
-    rank_of = kn_mask_ranks(chi.n, chi.r)
-    emb, _ = RainbowEmbedder(chi.n, f).find(
-        lambda m: colors[rank_of[m]], max_nodes=limit
-    )
+    color_of = {vertex_mask(e): c for e, c in zip(kn_edges(chi.n, chi.r), chi.colors)}
+    emb, _ = RainbowEmbedder(chi.n, f).find(color_of.get, max_nodes=limit)
     if emb is None:
         return None
     pairs = tuple((img, chi.color_of(img)) for img in emb.image_edges(f))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .canonical import canonical_key
 from .hypergraph import (
@@ -26,7 +26,6 @@ from .hypergraph import (
     Hypergraph,
     independent_sets,
     is_independent,
-    make_family,
     make_hypergraph,
     remove_vertices,
 )
@@ -74,16 +73,14 @@ def expansion(f: Hypergraph, r: int) -> Hypergraph:
 
 
 def expansion_family(fam: Family, r: int) -> Family:
-    """Expand every member; preserves the dedup claim.
+    """Expand every member.
 
     Non-isomorphic k-graphs have non-isomorphic expansions: the original
     vertices are recoverable as the vertices of degree >= 2 plus the
-    at-most-one original vertex per edge not covered that way, so a member
-    collision would force a collision upstream.
+    at-most-one original vertex per edge not covered that way, so a
+    deduplicated family stays deduplicated.
     """
-    return Family(
-        r=r, members=tuple(expansion(m, r) for m in fam.members), dedup=fam.dedup
-    )
+    return Family(r=r, members=tuple(expansion(m, r) for m in fam.members))
 
 
 def blowup(f: Hypergraph, t: int) -> Hypergraph:
@@ -134,13 +131,10 @@ def split_set(f: Hypergraph, vertices: Iterable[int], mode: str = "weak") -> Hyp
     return g
 
 
-def splitting_family(
-    f: Hypergraph, mode: str = "weak", *, dedup: bool = True
-) -> Family:
+def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     """All splittings of f over independent sets, one per isomorphism class.
 
-    The empty set contributes f itself.  With dedup=False the raw labeled
-    list is returned, one member per independent set, in enumeration order.
+    The empty set contributes f itself.
     """
     members: list[Hypergraph] = []
     seen: set = set()
@@ -150,21 +144,16 @@ def splitting_family(
     cap = max(f.n + sum(f.degrees), 1)
     for ind in independent_sets(f, mode):
         g = split_set(f, ind, mode)
-        if dedup:
-            key = canonical_key(g, max_vertices=cap)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = canonical_key(g, max_vertices=cap)
+        if key in seen:
+            continue
+        seen.add(key)
         members.append(g)
-    return Family(r=f.r, members=tuple(members), dedup=dedup)
+    return Family(r=f.r, members=tuple(members))
 
 
 def _deletion_family(
-    f: Hypergraph,
-    removable: Sequence[tuple[int, ...]],
-    *,
-    drop_isolated: bool,
-    dedup: bool,
+    f: Hypergraph, removable: Sequence[tuple[int, ...]], *, drop_isolated: bool
 ) -> Family:
     members: list[Hypergraph] = []
     seen: set = set()
@@ -172,31 +161,26 @@ def _deletion_family(
         g = Hypergraph(f.n, f.r, tuple(x for x in f.edges if x != e))
         if drop_isolated:
             g = remove_vertices(g, [v for v in range(g.n) if g.degrees[v] == 0])
-        if dedup:
-            key = canonical_key(g)
-            if key in seen:
-                continue
-            seen.add(key)
+        key = canonical_key(g)
+        if key in seen:
+            continue
+        seen.add(key)
         members.append(g)
-    return Family(r=f.r, members=tuple(members), dedup=dedup)
+    return Family(r=f.r, members=tuple(members))
 
 
-def minus_family(
-    f: Hypergraph, *, drop_isolated: bool = True, dedup: bool = True
-) -> Family:
+def minus_family(f: Hypergraph, *, drop_isolated: bool = True) -> Family:
     """One member per isomorphism class of f with a single edge deleted.
 
     Vertices left isolated by the deletion are dropped unless asked otherwise.
     A graph with no edges yields the empty family; a single-edge graph yields
     the family whose one member is the empty hypergraph.
     """
-    return _deletion_family(
-        f, f.edges, drop_isolated=drop_isolated, dedup=dedup
-    )
+    return _deletion_family(f, f.edges, drop_isolated=drop_isolated)
 
 
 def pendant_minus_family(
-    f: Hypergraph, k: int, *, drop_isolated: bool = True, dedup: bool = True
+    f: Hypergraph, k: int, *, drop_isolated: bool = True
 ) -> Family:
     """Deletions of k-pendant edges only.
 
@@ -211,9 +195,7 @@ def pendant_minus_family(
         private = sum(1 for v in e if f.degrees[v] == 1)
         if private >= k:
             removable.append(e)
-    return _deletion_family(
-        f, removable, drop_isolated=drop_isolated, dedup=dedup
-    )
+    return _deletion_family(f, removable, drop_isolated=drop_isolated)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Hypergraph",
@@ -22,7 +21,6 @@ __all__ = [
     "colex_key",
     "colex_rank",
     "kn_edges",
-    "kn_mask_ranks",
     "vertex_mask",
     "make_hypergraph",
     "make_family",
@@ -73,12 +71,6 @@ def vertex_mask(edge: Iterable[int]) -> int:
     for v in edge:
         m |= 1 << v
     return m
-
-
-@lru_cache(maxsize=None)
-def kn_mask_ranks(n: int, r: int) -> Mapping[int, int]:
-    """Read-only map vertex_mask(e) -> colex_rank(e) over the r-subsets of range(n)."""
-    return MappingProxyType({vertex_mask(e): i for i, e in enumerate(kn_edges(n, r))})
 
 
 @dataclass(frozen=True)
@@ -263,9 +255,7 @@ def is_independent(h: Hypergraph, vertices: Iterable[int], mode: str = "weak") -
     raise ValueError(f"unknown independence mode {mode!r}")
 
 
-def independent_sets(
-    h: Hypergraph, mode: str = "weak", max_size: Optional[int] = None
-) -> list[tuple[int, ...]]:
+def independent_sets(h: Hypergraph, mode: str = "weak") -> list[tuple[int, ...]]:
     """All independent sets as sorted tuples, the empty set included.
 
     Both notions are closed under taking subsets, so a depth-first extension
@@ -274,7 +264,6 @@ def independent_sets(
     """
     if mode not in ("weak", "strong"):
         raise ValueError(f"unknown independence mode {mode!r}")
-    cap = h.n if max_size is None else max_size
     out: list[tuple[int, ...]] = []
     current: list[int] = []
     in_set = [False] * h.n
@@ -289,8 +278,6 @@ def independent_sets(
 
     def rec(start: int) -> None:
         out.append(tuple(current))
-        if len(current) >= cap:
-            return
         for v in range(start, h.n):
             if extend_ok(v):
                 current.append(v)
@@ -329,30 +316,25 @@ def has_copy(f: Hypergraph, h: Hypergraph) -> bool:
     """Whether h contains at least one copy of f.
 
     A copy is a rainbow copy when every host edge has its own color, so this
-    is a free RainbowEmbedder search that colors each present edge by its
-    vertex mask.  A free search never builds the embedder's anchored seeds,
-    so no automorphism group is computed here.
+    is a free RainbowEmbedder search that reads each present edge's index in
+    h.edges as its color, keyed by vertex mask.  A free search never builds
+    the embedder's anchored seeds, so no automorphism group is computed here.
     """
     from .coloring import RainbowEmbedder  # coloring imports this module
 
     if f.r != h.r:
         raise ValueError(f"uniformity mismatch: pattern r={f.r}, host r={h.r}")
-    present = frozenset(vertex_mask(e) for e in h.edges)
-    emb, _ = RainbowEmbedder(h.n, f).find(lambda m: m if m in present else None)
+    present = {vertex_mask(e): i for i, e in enumerate(h.edges)}
+    emb, _ = RainbowEmbedder(h.n, f).find(present.get)
     return emb is not None
 
 
 @dataclass(frozen=True)
 class Family:
-    """A finite collection of hypergraphs sharing one uniformity.
-
-    dedup=True records that members are pairwise non-isomorphic; producers
-    are responsible for the claim (splitting and deletion builders honour it).
-    """
+    """A finite collection of hypergraphs sharing one uniformity."""
 
     r: int
     members: tuple[Hypergraph, ...]
-    dedup: bool = False
 
     def __post_init__(self) -> None:
         for m in self.members:
@@ -368,12 +350,10 @@ class Family:
         return iter(self.members)
 
 
-def make_family(
-    members: Iterable[Hypergraph], *, r: Optional[int] = None, dedup: bool = False
-) -> Family:
+def make_family(members: Iterable[Hypergraph], *, r: Optional[int] = None) -> Family:
     ms = tuple(members)
     if r is None:
         if not ms:
             raise ValueError("empty family needs an explicit uniformity")
         r = ms[0].r
-    return Family(r=r, members=ms, dedup=dedup)
+    return Family(r=r, members=ms)

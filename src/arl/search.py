@@ -19,19 +19,25 @@ Budgets cap nodes and wall time; a tripped budget yields an honest
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Union
 
-from .coloring import Coloring, RainbowEmbedder, make_coloring
+from .coloring import (
+    BudgetExhausted,
+    Coloring,
+    RainbowEmbedder,
+    find_rainbow_copy,
+    make_coloring,
+)
 from .hypergraph import (
     Family,
     Hypergraph,
     has_copy,
     kn_edges,
-    kn_mask_ranks,
     make_family,
     make_hypergraph,
+    vertex_mask,
 )
 
 __all__ = [
@@ -70,10 +76,6 @@ class SearchReport:
     leaves: Optional[int] = None
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
 class _Meter:
     """Node and wall-clock accounting shared by both solvers."""
 
@@ -86,10 +88,10 @@ class _Meter:
     def tick(self) -> None:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise _OutOfBudget
+            raise BudgetExhausted(self.nodes)
         if self.max_seconds is not None and (self.nodes & _TIME_CHECK_MASK) == 0:
             if time.monotonic() - self.start > self.max_seconds:
-                raise _OutOfBudget
+                raise BudgetExhausted(self.nodes)
 
     @property
     def elapsed(self) -> float:
@@ -167,14 +169,10 @@ def exact_turan(
     members = _drop_redundant(fam)
     matchers = [RainbowEmbedder(n, m) for m in members]
     matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
-    rank_of = kn_mask_ranks(n, r)
-    present = bytearray(M)
-
-    def colored(mask: int) -> Optional[int]:
-        # distinct present edges get distinct "colors", so a rainbow copy is
-        # exactly a copy
-        ri = rank_of[mask]
-        return ri if present[ri] else None
+    masks = [vertex_mask(e) for e in edges]
+    # vertex mask -> colex rank of each chosen edge: distinct chosen edges get
+    # distinct "colors", so a rainbow copy is exactly a copy
+    present: dict[int, int] = {}
 
     meter = _Meter(budget)
     best = 0
@@ -183,7 +181,7 @@ def exact_turan(
     def completes_copy(j: int) -> bool:
         anchor = edges[j]
         for em in matchers:
-            hit, _ = em.find(colored, anchor=anchor)
+            hit, _ = em.find(present.get, anchor=anchor)
             if hit is not None:
                 return True
         return False
@@ -191,9 +189,9 @@ def exact_turan(
     # Explicit-stack DFS, include branch first.  An entry (j, count, undo)
     # visits the node deciding edge j with count edges chosen so far; with
     # undo set it first retracts edge j, whose include subtree is finished,
-    # and visits the exclude branch at j + 1.  present marks the chosen edges.
+    # and visits the exclude branch at j + 1.
     if root_symmetry and M > 0:
-        present[0] = 1
+        present[masks[0]] = 0
         stack = [] if completes_copy(0) else [(1, 1, False)]
     else:
         stack = [(0, 0, False)]
@@ -202,23 +200,23 @@ def exact_turan(
         while stack:
             j, count, undo = stack.pop()
             if undo:
-                present[j] = 0
+                del present[masks[j]]
                 j += 1
             meter.tick()
             if count + (M - j) <= best:
                 continue
             if j == M:
                 best = count
-                best_edges = tuple(e for e, p in zip(edges, present) if p)
+                best_edges = tuple(edges[i] for i in sorted(present.values()))
                 continue
-            present[j] = 1
+            present[masks[j]] = j
             if completes_copy(j):
-                present[j] = 0
+                del present[masks[j]]
                 stack.append((j + 1, count, False))
             else:
                 stack.append((j, count, True))
                 stack.append((j + 1, count + 1, False))
-    except _OutOfBudget:
+    except BudgetExhausted:
         status = "budget_exhausted"
 
     return SearchReport(
@@ -269,14 +267,8 @@ def exact_anti_ramsey(
     }
 
     engine = RainbowEmbedder(n, pattern)
-    colors = [0] * M
-    assigned = bytearray(M)
-
-    rank_of = kn_mask_ranks(n, r)
-
-    def color_at(mask: int) -> Optional[int]:
-        ri = rank_of[mask]
-        return colors[ri] if assigned[ri] else None
+    masks = [vertex_mask(e) for e in edges]
+    color_of: dict[int, int] = {}  # vertex mask -> color of each colored edge
 
     meter = _Meter(budget)
     best = -1
@@ -297,21 +289,20 @@ def exact_anti_ramsey(
                     leaves += 1
                     if top > best:
                         best = top
-                        best_colors = tuple(colors)
+                        best_colors = tuple(color_of[m] for m in masks)
                     continue
                 if prune_bound and top + (M - j) <= best:
                     continue
-                assigned[j] = 1
             if c > top:
-                assigned[j] = 0
+                del color_of[masks[j]]
                 continue
             stack.append((j, top, c + 1))
             meter.tick()
-            colors[j] = c
-            hit, _ = engine.find(color_at, anchor=edges[j])
+            color_of[masks[j]] = c
+            hit, _ = engine.find(color_of.get, anchor=edges[j])
             if hit is None:
                 stack.append((j + 1, max(top, c + 1), 0))
-    except _OutOfBudget:
+    except BudgetExhausted:
         status = "budget_exhausted"
 
     return SearchReport(
@@ -334,8 +325,6 @@ def verify_feasibility(report: SearchReport) -> bool:
     is certified here (the witness attains the claimed value and satisfies
     the constraint), not optimality.
     """
-    from .coloring import find_rainbow_copy
-
     inst = report.instance
     patterns = [
         make_hypergraph(max((v for e in pe for v in e), default=-1) + 1, inst["r"],

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Optional
 
+from .bounds import BoundRow, bound_report
 from .canonical import canonical_key
 from .coloring import (
     Coloring,
@@ -31,9 +32,7 @@ from .coloring import (
 from .constructions import (
     complete_graph,
     expansion,
-    minus_family,
     path_graph,
-    pendant_minus_family,
     single_edge,
     split_set,
     split_vertex,
@@ -68,6 +67,15 @@ class CheckRow:
 def _row(name: str, expected, got, ok: Optional[bool], note: str = "") -> CheckRow:
     verdict = "skip" if ok is None else ("pass" if ok else "fail")
     return CheckRow(name, str(expected), str(got), verdict, note)
+
+
+def _bound_row(name: str, row: BoundRow) -> CheckRow:
+    """A bound_report row as a check: satisfied passes, violated fails, and
+    an indeterminate or not-applicable row skips with the row's note."""
+    if row.verdict in ("satisfied", "violated"):
+        ok = row.verdict == "satisfied"
+        return _row(name, f"{row.relation} {row.rhs}", row.lhs, ok)
+    return _row(name, "exact pair", row.verdict, None, row.note)
 
 
 def _cherry3() -> Hypergraph:
@@ -108,16 +116,9 @@ def _crit_lower(budget) -> list[CheckRow]:
     ]
     rows = []
     for label, f, n in instances:
+        table = {b.name: b for b in bound_report(n, f, budget=budget).rows}
         name = f"lower: ar({n},{label}) >= ex({n},minus)+2"
-        ar_rep = exact_anti_ramsey(n, f, budget=budget)
-        ex_rep = exact_turan(n, minus_family(f), budget=budget)
-        if ar_rep.status != "exact" or ex_rep.status != "exact":
-            rows.append(_row(name, "exact pair", "budget", None))
-            continue
-        want = ex_rep.value + 2
-        rows.append(
-            _row(name, f">= {want}", ar_rep.value, ar_rep.value >= want)
-        )
+        rows.append(_bound_row(name, table["lower-minus"]))
     return rows
 
 
@@ -130,30 +131,10 @@ def _crit_pendant_upper(budget) -> list[CheckRow]:
     rows = []
     for label, f in targets:
         for n in range(f.r, 6):
-            ar_rep = exact_anti_ramsey(n, f, budget=budget)
+            table = {b.name: b for b in bound_report(n, f, budget=budget).rows}
             for k in range(1, f.r):
                 name = f"pendant: ar({n},{label}) <= ex+({f.num_edges}-1)C({n},{k})"
-                fam = pendant_minus_family(f, k)
-                if len(fam) == 0:
-                    exk = comb(n, f.r)
-                else:
-                    try:
-                        ex_rep = exact_turan(n, fam, budget=budget)
-                    except ValueError:
-                        rows.append(_row(name, "defined", "undefined ex", None,
-                                         "edgeless deletion"))
-                        continue
-                    if ex_rep.status != "exact":
-                        rows.append(_row(name, "exact pair", "budget", None))
-                        continue
-                    exk = ex_rep.value
-                if ar_rep.status != "exact":
-                    rows.append(_row(name, "exact pair", "budget", None))
-                    continue
-                bound = exk + (f.num_edges - 1) * comb(n, k)
-                rows.append(
-                    _row(name, f"<= {bound}", ar_rep.value, ar_rep.value <= bound)
-                )
+                rows.append(_bound_row(name, table[f"upper-pendant-k{k}"]))
     return rows
 
 
@@ -420,17 +401,16 @@ def _crit_witness_integrity(budget) -> list[CheckRow]:
         exact_anti_ramsey(5, _cherry3(), budget=budget),
         exact_anti_ramsey(5, single_edge(2), budget=budget),
     ]
-    exact = [rep for rep in reports if rep.status == "exact"]
-    ok = all(verify_feasibility(rep) for rep in exact)
+    feasible = [verify_feasibility(rep) for rep in reports if rep.status == "exact"]
     rows.append(
         _row(
             "witness: verify_feasibility passes on every exact suite report",
-            f"{len(exact)} feasible",
-            f"{sum(verify_feasibility(rep) for rep in exact)} feasible",
-            ok,
+            f"{len(feasible)} feasible",
+            f"{sum(feasible)} feasible",
+            all(feasible),
         )
     )
-    base = exact_turan(5, complete_graph(3), budget=budget)
+    base = reports[0]
     if base.status == "exact":
         fake_edges = kn_edges(5, 2)[: base.value]
         corrupted = dataclasses.replace(
@@ -439,7 +419,7 @@ def _crit_witness_integrity(budget) -> list[CheckRow]:
         caught_h = not verify_feasibility(corrupted)
     else:
         caught_h = None
-    ar_base = exact_anti_ramsey(4, complete_graph(3), budget=budget)
+    ar_base = reports[2]
     if ar_base.status == "exact" and ar_base.witness is not None:
         m = ar_base.value - 1
         bad = make_coloring(4, 2, [i % m for i in range(comb(4, 2))])
@@ -459,20 +439,6 @@ def _crit_witness_integrity(budget) -> list[CheckRow]:
     return rows
 
 
-_CRITERIA: list[tuple[str, str]] = [
-    ("k4-exact", "closed-form anti-Ramsey values for K4 at n=4,5"),
-    ("lower", "universal lower bound over the instance suite"),
-    ("pendant", "pendant-deletion upper bounds at n <= 5"),
-    ("turan", "Turan solver and count-formula agreement"),
-    ("layered", "layered coloring color counts"),
-    ("split", "splitting family facts and order independence"),
-    ("detector", "rainbow detector vs naive oracle"),
-    ("merge", "merge monotonicity"),
-    ("freeness", "Turan hypergraphs avoid their forbidden patterns"),
-    ("witness", "witness integrity and negative control"),
-]
-
-
 def verify_paper_suite(
     budget: Optional[SearchBudget] = None,
     *,
@@ -483,23 +449,22 @@ def verify_paper_suite(
 
     only filters criterion groups by substring of the group key.
     """
-    groups: dict[str, Callable[[], list[CheckRow]]] = {
-        "k4-exact": lambda: _crit_k4_exact(budget),
-        "lower": lambda: _crit_lower(budget),
-        "pendant": lambda: _crit_pendant_upper(budget),
-        "turan": lambda: _crit_turan_oracle(budget),
-        "layered": lambda: _crit_layered(budget),
-        "split": lambda: _crit_splitting(seed),
-        "detector": lambda: _crit_detector(seed),
-        "merge": lambda: _crit_merge_monotone(seed),
-        "freeness": lambda: _crit_turan_freeness(),
-        "witness": lambda: _crit_witness_integrity(budget),
-    }
+    groups: list[tuple[str, Callable[[], list[CheckRow]]]] = [
+        ("k4-exact", lambda: _crit_k4_exact(budget)),
+        ("lower", lambda: _crit_lower(budget)),
+        ("pendant", lambda: _crit_pendant_upper(budget)),
+        ("turan", lambda: _crit_turan_oracle(budget)),
+        ("layered", lambda: _crit_layered(budget)),
+        ("split", lambda: _crit_splitting(seed)),
+        ("detector", lambda: _crit_detector(seed)),
+        ("merge", lambda: _crit_merge_monotone(seed)),
+        ("freeness", _crit_turan_freeness),
+        ("witness", lambda: _crit_witness_integrity(budget)),
+    ]
     rows: list[CheckRow] = []
-    for key, _ in _CRITERIA:
-        if only is not None and only not in key:
-            continue
-        rows.extend(groups[key]())
+    for key, run in groups:
+        if only is None or only in key:
+            rows.extend(run())
     return tuple(rows)
 
 

@@ -67,6 +67,8 @@ class TestBudget:
         assert t.ar_status == "budget_exhausted"
         assert t.ar_value is None
         assert all(row.verdict == "indeterminate" for row in t.rows)
+        # the pendant row's ex is vacuous, so only the ar budget leaves it open
+        assert all(row.note == "budget" for row in t.rows)
         assert t.hard_ok  # indeterminate is not a violation
 
     def test_generous_budget_is_exact(self):

@@ -33,9 +33,9 @@ from arl.hypergraph import (
     colex_rank,
     has_copy,
     kn_edges,
-    kn_mask_ranks,
     make_family,
     make_hypergraph,
+    vertex_mask,
 )
 from helpers import naive_has_anchored_rainbow, naive_has_rainbow
 
@@ -212,10 +212,10 @@ class TestAnchoredFind:
     def test_against_naive_every_anchor(self, name, data):
         f = ANCHORED_PATTERNS[name]
         n, colors = data.draw(partial_colorings(f.r))
-        rank_of = kn_mask_ranks(n, f.r)
+        color_of = {vertex_mask(e): c for e, c in zip(kn_edges(n, f.r), colors)}
         engine = RainbowEmbedder(n, f)
         for anchor in kn_edges(n, f.r):
-            hit, _ = engine.find(lambda m: colors[rank_of[m]], anchor=anchor)
+            hit, _ = engine.find(color_of.get, anchor=anchor)
             assert (hit is not None) == naive_has_anchored_rainbow(n, f, colors, anchor)
             if hit is not None:
                 imgs = hit.image_edges(f)

@@ -139,9 +139,9 @@ class TestSplitting:
 
     def test_strong_mode_restricts(self):
         t = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
-        weak = splitting_family(t, "weak", dedup=False)
-        strong = splitting_family(t, "strong", dedup=False)
-        assert len(strong.members) < len(weak.members)
+        weak = splitting_family(t, "weak")
+        strong = splitting_family(t, "strong")
+        assert (len(weak), len(strong)) == (3, 2)
 
 
 class TestDeletionFamilies:

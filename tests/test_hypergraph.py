@@ -158,10 +158,6 @@ class TestIndependentSets:
         for h in (K3, K4, P3):
             assert independent_sets(h, "weak") == independent_sets(h, "strong")
 
-    def test_max_size(self):
-        sets = independent_sets(P3, max_size=1)
-        assert all(len(s) <= 1 for s in sets)
-
     def test_is_independent(self):
         assert is_independent(P3, (0, 2))
         assert not is_independent(P3, (0, 1))

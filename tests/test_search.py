@@ -6,6 +6,7 @@ import pytest
 from arl.constructions import (
     complete_graph,
     complete_hypergraph,
+    cycle_graph,
     expansion,
     minus_family,
     path_graph,
@@ -204,6 +205,25 @@ def test_budget_exhaustion_on_deep_host():
     assert ex_rep.status == ar_rep.status == "budget_exhausted"
     assert ex_rep.value is None and ar_rep.value is None
     assert verify_feasibility(ex_rep)
+
+
+@pytest.mark.parametrize(
+    "solve, nodes",
+    [
+        (lambda: exact_turan(7, [K4]), 7618),
+        (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 9845),
+        (lambda: exact_anti_ramsey(5, K4), 5526),
+        (lambda: exact_anti_ramsey(5, cycle_graph(4)), 8241),
+        (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 7898),
+    ],
+    ids=["ex(7,K4)", "ex(6,K4^3)", "ar(5,K4)", "ar(5,C4)", "ar(5,K4^3)"],
+)
+def test_node_counts_pinned(solve, nodes):
+    # solver node counts are deterministic; a change in how the host is read
+    # must leave them alone, and only a change to pruning may move them
+    rep = solve()
+    assert rep.status == "exact"
+    assert rep.nodes == nodes
 
 
 class TestVerifyFeasibility:
