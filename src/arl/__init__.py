@@ -2,13 +2,7 @@
 problems on small uniform hypergraphs."""
 
 from .bounds import BoundRow, BoundsTable, bound_report
-from .canonical import (
-    DEFAULT_VERTEX_CAP,
-    TooLargeError,
-    are_isomorphic,
-    canonical_form,
-    canonical_key,
-)
+from .canonical import are_isomorphic, canonical_form, canonical_key
 from .coloring import (
     BudgetExhausted,
     Coloring,

@@ -9,30 +9,29 @@ The search never enumerates all n! permutations.  It interleaves degree and
 neighborhood refinement with individualization, and prunes sibling branches
 that are equivalent under automorphisms discovered at earlier leaves (orbit
 pruning, restricted to generators fixing the individualized prefix pointwise,
-which keeps the pruning sound).  Intended for small instances only; the
-vertex cap is a hard error, not a heuristic.
+which keeps the pruning sound).
+
+There is no vertex cap: cost follows the symmetry of the input more than its
+size.  Measured on one core of a 2-CPU machine (runs vary by about 20%): a
+16-vertex perfect matching takes about 0.05 s and a 17-vertex edgeless graph
+about 0.9 s, while the single-edge deletion family of the 3-uniform
+expansion of K_l, whose members have 20, 27 and 35 vertices, takes about
+0.06, 0.2 and 0.5 s for l = 6, 7, 8.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .hypergraph import Hypergraph, colex_rank, relabel
 
 __all__ = [
-    "TooLargeError",
-    "DEFAULT_VERTEX_CAP",
     "canonical_form",
     "canonical_key",
     "are_isomorphic",
     "automorphism_generators",
+    "distinct_classes",
 ]
-
-DEFAULT_VERTEX_CAP = 16
-
-
-class TooLargeError(ValueError):
-    """Raised when a hypergraph exceeds the canonicalization size cap."""
 
 
 def _refine(h: Hypergraph, cells: list[list[int]]) -> list[list[int]]:
@@ -153,45 +152,44 @@ def automorphism_generators(h: Hypergraph) -> list[tuple[int, ...]]:
 
     Each generator g maps vertex v to g[v].  They generate a subgroup of
     Aut(h) (on the tested corpus, all of it), which is what orbit pruning
-    needs to stay sound.  No vertex cap: callers pass small patterns.
+    needs to stay sound.  Costs the same search as canonical_form.
     """
     return _search(h)[1]
 
 
-def canonical_form(h: Hypergraph, *, max_vertices: int = DEFAULT_VERTEX_CAP) -> Hypergraph:
+def canonical_form(h: Hypergraph) -> Hypergraph:
     """The canonical representative of h's isomorphism class.
 
-    Deterministic, idempotent, and invariant under relabeling.  Raises
-    TooLargeError beyond the vertex cap (tunable via max_vertices).
+    Deterministic, idempotent, and invariant under relabeling.
     """
-    if h.n > max_vertices:
-        raise TooLargeError(
-            f"canonical form limited to {max_vertices} vertices, got {h.n}; "
-            f"pass max_vertices to raise the cap deliberately"
-        )
     if h.n == 0:
         return h
     lab, _ = _search(h)
     return relabel(h, lab)
 
 
-def canonical_key(
-    h: Hypergraph, *, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+def canonical_key(h: Hypergraph) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """Hashable isomorphism invariant: (n, r, canonical edge list)."""
-    c = canonical_form(h, max_vertices=max_vertices)
+    c = canonical_form(h)
     return (c.n, c.r, c.edges)
 
 
-def are_isomorphic(
-    a: Hypergraph, b: Hypergraph, *, max_vertices: int = DEFAULT_VERTEX_CAP
-) -> bool:
+def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     """Isomorphism test via canonical forms (isolated vertices count)."""
     if a.n != b.n or a.r != b.r or len(a.edges) != len(b.edges):
         return False
     if sorted(a.degrees) != sorted(b.degrees):
         return False
-    return (
-        canonical_form(a, max_vertices=max_vertices).edges
-        == canonical_form(b, max_vertices=max_vertices).edges
-    )
+    return canonical_form(a).edges == canonical_form(b).edges
+
+
+def distinct_classes(graphs: Iterable[Hypergraph]) -> tuple[Hypergraph, ...]:
+    """The first graph of each isomorphism class, in input order."""
+    seen: set = set()
+    out: list[Hypergraph] = []
+    for g in graphs:
+        key = canonical_key(g)
+        if key not in seen:
+            seen.add(key)
+            out.append(g)
+    return tuple(out)

@@ -6,7 +6,8 @@ ambient input is ARL_DEFAULT_BUDGET ("NODES" or "NODES,SECONDS"), which fills
 in budget flags that were not given explicitly.
 
 Exit codes: 0 success, 1 verify-paper found a failing check, 2 bad
-arguments, 3 budget exhausted where an exact answer was required.
+arguments or a malformed input file, 3 budget exhausted where an exact
+answer was required.
 """
 
 from __future__ import annotations
@@ -178,7 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = chksub.add_parser("rainbow-free", help="is a coloring rainbow-free?")
     p.add_argument("--coloring", required=True, help="coloring file (text or .json)")
     _add_pattern_flags(p)
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument(
+        "--budget-nodes",
+        type=int,
+        default=None,
+        help="node cap of the search; ARL_DEFAULT_BUDGET fills it in when "
+        "absent, and only its node part applies here",
+    )
     _add_io_flags(p)
 
     sol = sub.add_parser("solve", help="exact extremal solvers")
@@ -275,8 +282,11 @@ def _read_coloring(path: str):
 def _cmd_check(args) -> int:
     chi = _read_coloring(args.coloring)
     fam = make_family(_patterns_from(args))
+    budget = _budget_from(args)
     try:
-        rep = is_rainbow_family_free(chi, fam, limit=args.budget_nodes)
+        rep = is_rainbow_family_free(
+            chi, fam, limit=budget.max_nodes if budget else None
+        )
     except BudgetExhausted as exc:
         _emit(
             args,

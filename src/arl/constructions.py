@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canonical import canonical_key
+from .canonical import distinct_classes
 from .hypergraph import (
     Family,
     Hypergraph,
@@ -136,37 +136,20 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
 
     The empty set contributes f itself.
     """
-    members: list[Hypergraph] = []
-    seen: set = set()
-    # splitting a vertex replaces it with degree-many leaves, so results can
-    # outgrow the default canonical-form cap; raise it to what is actually
-    # produced here, which is a deliberate, bounded choice
-    cap = max(f.n + sum(f.degrees), 1)
-    for ind in independent_sets(f, mode):
-        g = split_set(f, ind, mode)
-        key = canonical_key(g, max_vertices=cap)
-        if key in seen:
-            continue
-        seen.add(key)
-        members.append(g)
-    return Family(r=f.r, members=tuple(members))
+    splits = (split_set(f, ind, mode) for ind in independent_sets(f, mode))
+    return Family(r=f.r, members=distinct_classes(splits))
 
 
 def _deletion_family(
     f: Hypergraph, removable: Sequence[tuple[int, ...]], *, drop_isolated: bool
 ) -> Family:
-    members: list[Hypergraph] = []
-    seen: set = set()
-    for e in removable:
+    def delete(e: tuple[int, ...]) -> Hypergraph:
         g = Hypergraph(f.n, f.r, tuple(x for x in f.edges if x != e))
         if drop_isolated:
             g = remove_vertices(g, [v for v in range(g.n) if g.degrees[v] == 0])
-        key = canonical_key(g)
-        if key in seen:
-            continue
-        seen.add(key)
-        members.append(g)
-    return Family(r=f.r, members=tuple(members))
+        return g
+
+    return Family(r=f.r, members=distinct_classes(map(delete, removable)))
 
 
 def minus_family(f: Hypergraph, *, drop_isolated: bool = True) -> Family:

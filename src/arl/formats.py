@@ -9,7 +9,9 @@ Text formats are line based and carry exactly the canonical object:
 
 JSON mirrors the same fields.  Parsing is strict: anything that would not
 re-serialize to the same bytes (unsorted edges, gap in color ids, wrong
-counts) is rejected rather than repaired, so round trips are exact.
+counts) is rejected rather than repaired, so round trips are exact.  A field
+of a hypergraph or coloring payload that is missing or of the wrong shape is
+a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from .bounds import BoundsTable
 from .coloring import Coloring, make_coloring
-from .hypergraph import Hypergraph, make_hypergraph
+from .hypergraph import Hypergraph
 from .search import SearchReport
 
 __all__ = [
@@ -63,25 +65,35 @@ def hypergraph_from_text(text: str) -> Hypergraph:
     if len(head) != 2:
         raise ValueError(f"header must be 'n r', got {lines[0]!r}")
     n, r = int(head[0]), int(head[1])
-    edges = []
-    for line in lines[1:]:
-        e = tuple(int(tok) for tok in line.split())
-        # constructor would silently sort; text is canonical, so reject
-        if any(a >= b for a, b in zip(e, e[1:])):
-            raise ValueError(f"edge line not strictly ascending: {line!r}")
-        edges.append(e)
-    h = make_hypergraph(n, r, edges)
-    if h.edges != tuple(edges):
-        raise ValueError("edge lines not in colex rank order")
-    return h
+    edges = tuple(tuple(int(tok) for tok in line.split()) for line in lines[1:])
+    # Hypergraph rejects unsorted, out-of-order and duplicate edges; it never sorts
+    return Hypergraph(n, r, edges)
 
 
 def hypergraph_to_json(h: Hypergraph) -> dict:
     return {"n": h.n, "r": h.r, "edges": [list(e) for e in h.edges]}
 
 
+def _json_ints(d: dict, name: str, depth: int = 0):
+    """d[name]: an integer (depth 0), a list of them (1) or a list of such lists
+    (2).  A ValueError names the field when it is missing or of another shape."""
+    if not isinstance(d, dict) or name not in d:
+        raise ValueError(f"JSON field {name!r} is missing")
+
+    def ok(v: object, k: int) -> bool:
+        if k == 0:
+            return isinstance(v, int) and not isinstance(v, bool)
+        return isinstance(v, list) and all(ok(x, k - 1) for x in v)
+
+    if not ok(d[name], depth):
+        kind = ("an integer", "a list of integers", "a list of integer lists")[depth]
+        raise ValueError(f"JSON field {name!r} must be {kind}, got {d[name]!r}")
+    return d[name]
+
+
 def hypergraph_from_json(d: dict) -> Hypergraph:
-    return make_hypergraph(d["n"], d["r"], [tuple(e) for e in d["edges"]])
+    n, r = _json_ints(d, "n"), _json_ints(d, "r")
+    return Hypergraph(n, r, tuple(tuple(e) for e in _json_ints(d, "edges", 2)))
 
 
 def coloring_to_text(chi: Coloring) -> str:
@@ -118,11 +130,10 @@ def coloring_to_json(chi: Coloring) -> dict:
 
 
 def coloring_from_json(d: dict) -> Coloring:
-    chi = make_coloring(d["n"], d["r"], d["colors"])
-    if chi.num_colors != d["num_colors"]:
-        raise ValueError(
-            f"payload claims {d['num_colors']} colors, ids use {chi.num_colors}"
-        )
+    n, r, m = (_json_ints(d, k) for k in ("n", "r", "num_colors"))
+    chi = make_coloring(n, r, _json_ints(d, "colors", 1))
+    if chi.num_colors != m:
+        raise ValueError(f"payload claims {m} colors, ids use {chi.num_colors}")
     return chi
 
 

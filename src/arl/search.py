@@ -235,7 +235,6 @@ def exact_anti_ramsey(
     *,
     budget: Optional[SearchBudget] = None,
     prune_bound: bool = True,
-    count_leaves: bool = False,
 ) -> SearchReport:
     """Smallest color count forcing a rainbow copy of the pattern in K_n^r.
 
@@ -247,9 +246,10 @@ def exact_anti_ramsey(
     edge patterns) the answer is 1 and the witness is None.
 
     prune_bound=False disables the color-count bound so every rainbow-free
-    partition becomes a leaf; with count_leaves=True the leaf count is
-    reported, which gives an independent Bell-number cross-check on the
-    enumeration when the pattern cannot embed at all.
+    partition becomes a leaf, and the report carries the leaf count: an
+    independent Bell-number cross-check on the enumeration when the pattern
+    cannot embed at all.  With the bound on, the count would depend on the
+    pruning, so it is not reported.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -312,7 +312,7 @@ def exact_anti_ramsey(
         elapsed=meter.elapsed,
         status=status,
         instance=instance,
-        leaves=leaves if count_leaves else None,
+        leaves=None if prune_bound else leaves,
     )
 
 

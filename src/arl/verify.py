@@ -20,7 +20,7 @@ from math import comb
 from typing import Callable, Optional
 
 from .bounds import BoundRow, bound_report
-from .canonical import canonical_key
+from .canonical import canonical_key, distinct_classes
 from .coloring import (
     Coloring,
     find_rainbow_copy,
@@ -211,16 +211,11 @@ def _all_hypergraphs(n: int, r: int):
         yield make_hypergraph(n, r, [e for i, e in enumerate(pool) if mask >> i & 1])
 
 
-def _small_corpus() -> list[Hypergraph]:
+def _small_corpus() -> tuple[Hypergraph, ...]:
     """Isomorphism-class representatives with at most 5 vertices."""
-    seen = {}
-    for n in range(0, 6):
-        for r in (2, 3):
-            if r > n:
-                continue
-            for h in _all_hypergraphs(n, r):
-                seen.setdefault(canonical_key(h), h)
-    return list(seen.values())
+    return distinct_classes(
+        h for n in range(0, 6) for r in (2, 3) if r <= n for h in _all_hypergraphs(n, r)
+    )
 
 
 def _split_in_order(f: Hypergraph, order: list[int]) -> Hypergraph:
@@ -262,16 +257,15 @@ def _crit_splitting(seed: int) -> list[CheckRow]:
             checked_sizes += 1
             if m.num_edges != f.num_edges:
                 size_bad += 1
-        cap = max(f.n + sum(f.degrees), 1)
         for iset in independent_sets(f):
             if len(iset) < 2:
                 continue
             checked_orders += 1
-            ref = canonical_key(split_set(f, iset), max_vertices=cap)
-            asc = canonical_key(_split_in_order(f, sorted(iset)), max_vertices=cap)
+            ref = canonical_key(split_set(f, iset))
+            asc = canonical_key(_split_in_order(f, sorted(iset)))
             shuffled = list(iset)
             rng.shuffle(shuffled)
-            rnd = canonical_key(_split_in_order(f, shuffled), max_vertices=cap)
+            rnd = canonical_key(_split_in_order(f, shuffled))
             if not (ref == asc == rnd):
                 order_bad += 1
     rows.append(

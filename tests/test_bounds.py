@@ -71,6 +71,13 @@ class TestBudget:
         assert all(row.note == "budget" for row in t.rows)
         assert t.hard_ok  # indeterminate is not a violation
 
+    def test_large_expansion_stays_open(self):
+        # the minus family of the expansion of K6 has 20 vertices
+        t = bound_report(7, complete_graph(6), r=3, budget=SearchBudget(max_nodes=10))
+        assert t.ar_status == "budget_exhausted"
+        assert t.rows and all(row.note == "budget" for row in t.rows)
+        assert all(row.verdict == "indeterminate" for row in t.rows)
+
     def test_generous_budget_is_exact(self):
         t = bound_report(5, K3, budget=SearchBudget(max_nodes=10**7))
         assert t.ar_status == "exact" and t.ar_value == 5

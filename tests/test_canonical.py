@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arl.canonical import (
-    DEFAULT_VERTEX_CAP,
-    TooLargeError,
     are_isomorphic,
     automorphism_generators,
     canonical_form,
     canonical_key,
+    distinct_classes,
 )
 from arl.constructions import (
     complete_graph,
@@ -60,15 +59,33 @@ class TestBasics:
             keys.add(canonical_key(h))
         assert len(keys) == 4  # empty, one edge, path, triangle
 
-    def test_size_cap(self):
-        big = make_hypergraph(DEFAULT_VERTEX_CAP + 1, 2, [])
-        with pytest.raises(TooLargeError):
-            canonical_form(big)
-        assert canonical_form(big, max_vertices=DEFAULT_VERTEX_CAP + 1).n == big.n
+    def test_no_vertex_cap(self):
+        big = make_hypergraph(17, 2, [(v, v + 1) for v in range(16)])
+        c = canonical_form(big)
+        assert c.n == 17 and c.num_edges == 16
 
     def test_empty(self):
         h = make_hypergraph(0, 2, [])
         assert canonical_form(h) == h
+
+
+class TestDistinctClasses:
+    def test_first_of_each_class_in_input_order(self):
+        p3 = make_hypergraph(4, 2, [(0, 1), (1, 2), (2, 3)])
+        p3_relabeled = make_hypergraph(4, 2, [(0, 2), (2, 3), (1, 3)])
+        star = make_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)])
+        star_relabeled = make_hypergraph(4, 2, [(0, 3), (1, 3), (2, 3)])
+        graphs = [p3_relabeled, star_relabeled, p3, complete_graph(3), star]
+        got = distinct_classes(graphs)
+        assert got == (p3_relabeled, star_relabeled, complete_graph(3))
+        assert all(a is b for a, b in zip(got, graphs[:2]))
+
+    def test_empty_input(self):
+        assert distinct_classes([]) == ()
+
+    def test_accepts_an_iterator(self):
+        graphs = [relabel(path_graph(3), p) for p in itertools.permutations(range(4))]
+        assert distinct_classes(iter(graphs)) == (graphs[0],)
 
 
 class TestInvariance:

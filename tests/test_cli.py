@@ -106,6 +106,20 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert run_command(["solve", "ex", "--n", "5", "--in", "/nope.txt"]) == 2
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"n": 3, "r": 2, "edges": [[1, 0], [2, 1]]}, "strictly increasing"),
+            ({"n": 3, "edges": [[0, 1]]}, "'r'"),
+        ],
+    )
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys, payload, message):
+        src = tmp_path / "f.json"
+        src.write_text(json.dumps(payload))
+        assert run_command(["solve", "ex", "--n", "4", "--in", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("ARL_DEFAULT_BUDGET", "50")
         assert run_command(["solve", "ar", "--n", "5", "--family", "K4"]) == 3
@@ -147,6 +161,21 @@ class TestColorAndCheck:
         out = capsys.readouterr().out
         assert "rainbow-free: no" in out and "member: 0" in out
 
+    def test_rainbow_free_env_budget(self, tmp_path, capsys, monkeypatch):
+        chifile = tmp_path / "chi.txt"
+        chifile.write_text("3 2 3\n0 1 2\n")
+        argv = ["check", "rainbow-free", "--coloring", str(chifile), "--family", "K3"]
+        assert run_command(argv + ["--budget-nodes", "1"]) == 3
+        capsys.readouterr()
+        monkeypatch.setenv("ARL_DEFAULT_BUDGET", "1")
+        assert run_command(argv) == 3
+        assert "undecided" in capsys.readouterr().out
+        # only the node part applies; the flag still wins over the environment
+        monkeypatch.setenv("ARL_DEFAULT_BUDGET", "1,1000")
+        assert run_command(argv) == 3
+        assert run_command(argv + ["--budget-nodes", "1000"]) == 0
+        assert "rainbow-free: no" in capsys.readouterr().out
+
 
 class TestBoundsCommand:
     def test_text(self, capsys):
@@ -167,6 +196,14 @@ class TestBoundsCommand:
             ["bounds", "--n", "6", "--family", "K4", "--budget-nodes", "3"]
         )
         assert code == 3
+
+    def test_large_expansion_budget_exit(self, capsys):
+        code = run_command(
+            ["bounds", "--n", "7", "--family", "K6", "--r", "3", "--budget-nodes", "10"]
+        )
+        assert code == 3
+        rows = capsys.readouterr().out.splitlines()[2:-1]
+        assert rows and all(line.endswith("# budget") for line in rows)
 
 
 class TestVerifyCommand:

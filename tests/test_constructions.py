@@ -178,6 +178,14 @@ class TestDeletionFamilies:
         assert fam1.members[0].edges == ((0, 2, 3), (1, 2, 4))
         assert len(pendant_minus_family(h, 2)) == 0
 
+    def test_families_beyond_sixteen_vertices(self):
+        # every edge of the expansion of K6 is 1-pendant and all are alike,
+        # so both families are one 20-vertex class
+        h = expansion(complete_graph(6), 3)
+        for fam in (minus_family(h), pendant_minus_family(h, 1)):
+            assert len(fam) == 1
+            assert fam.members[0].n == 20 and fam.members[0].num_edges == 14
+
     def test_pendant_k_range(self):
         with pytest.raises(ValueError):
             pendant_minus_family(K3, 2)

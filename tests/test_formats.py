@@ -67,6 +67,33 @@ class TestHypergraphRoundTrip:
         with pytest.raises(ValueError):
             formats.hypergraph_from_text("3 2\n0 1 2\n")  # wrong arity
 
+    def test_json_unsorted_edges_rejected(self):
+        # the text reader refuses these edges too; neither reader repairs them
+        with pytest.raises(ValueError, match="strictly increasing"):
+            formats.hypergraph_from_json({"n": 3, "r": 2, "edges": [[1, 0], [2, 1]]})
+        with pytest.raises(ValueError, match="colex order"):
+            formats.hypergraph_from_json({"n": 3, "r": 2, "edges": [[1, 2], [0, 1]]})
+        with pytest.raises(ValueError, match="colex order"):
+            formats.hypergraph_from_text("3 2\n1 2\n0 1\n")
+        with pytest.raises(ValueError, match="colex order"):
+            formats.hypergraph_from_text("3 2\n0 1\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n": 3, "edges": [[0, 1]]}, "'r'"),
+            ({"r": 2, "edges": [[0, 1]]}, "'n'"),
+            ({"n": 3, "r": 2}, "'edges'"),
+            ({"n": "3", "r": 2, "edges": [[0, 1]]}, "'n'"),
+            ({"n": 3, "r": 2.0, "edges": [[0, 1]]}, "'r'"),
+            ({"n": 3, "r": 2, "edges": [[0, "1"]]}, "'edges'"),
+            ({"n": 3, "r": 2, "edges": [0, 1]}, "'edges'"),
+        ],
+    )
+    def test_json_bad_field_named(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            formats.hypergraph_from_json(payload)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 3), st.data())
     def test_text_property(self, r, data):
@@ -98,6 +125,20 @@ class TestColoringRoundTrip:
             formats.coloring_from_text("3 2 2\n0 0 0\n")
         with pytest.raises(ValueError):
             formats.coloring_from_json({"n": 3, "r": 2, "num_colors": 1, "colors": [0, 1, 0]})
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n": 3, "r": 2, "colors": [0, 0, 0]}, "'num_colors'"),
+            ({"n": 3, "num_colors": 1, "colors": [0, 0, 0]}, "'r'"),
+            ({"n": 3, "r": 2, "num_colors": 1}, "'colors'"),
+            ({"n": 3, "r": 2, "num_colors": True, "colors": [0, 0, 0]}, "'num_colors'"),
+            ({"n": 3, "r": 2, "num_colors": 1, "colors": [0, 0, None]}, "'colors'"),
+        ],
+    )
+    def test_json_bad_field_named(self, payload, field):
+        with pytest.raises(ValueError, match=field):
+            formats.coloring_from_json(payload)
 
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
@@ -133,9 +174,7 @@ class TestReportRoundTrip:
             assert back.witness == rep.witness and back.value == rep.value
 
     def test_leaves_preserved(self):
-        rep = exact_anti_ramsey(
-            3, complete_graph(4), prune_bound=False, count_leaves=True
-        )
+        rep = exact_anti_ramsey(3, complete_graph(4), prune_bound=False)
         d = formats.report_to_json(rep)
         assert d["leaves"] == rep.leaves == 5  # Bell(3)
         assert formats.report_from_json(d).leaves == rep.leaves

@@ -168,10 +168,14 @@ class TestExactAntiRamsey:
         assert a.value == b.value
         assert b.nodes <= a.nodes
 
+    def test_leaves_reported_only_without_bound(self):
+        assert exact_anti_ramsey(4, K3).leaves is None
+        assert exact_anti_ramsey(4, K3, prune_bound=False).leaves is not None
+
     def test_leaf_count_is_bell(self):
         # with pattern too big to embed and pruning off, leaves = set partitions
         big = complete_graph(5)
-        rep = exact_anti_ramsey(4, big, prune_bound=False, count_leaves=True)
+        rep = exact_anti_ramsey(4, big, prune_bound=False)
         assert rep.leaves == 203  # Bell(6)
         assert rep.value == comb(4, 2) + 1
 
