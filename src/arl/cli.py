@@ -13,6 +13,7 @@ answer was required.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -40,13 +41,10 @@ from .verify import DEFAULT_SEED, suite_counts, suite_to_text, verify_paper_suit
 __all__ = ["main", "run_command"]
 
 
-def _read_hypergraph(path: str) -> Hypergraph:
+def _read(path: str, from_json, from_text):
+    """Parse a file with from_json if its name ends in .json, else from_text."""
     text = Path(path).read_text()
-    if path.endswith(".json"):
-        import json
-
-        return formats.hypergraph_from_json(json.loads(text))
-    return formats.hypergraph_from_text(text)
+    return from_json(json.loads(text)) if path.endswith(".json") else from_text(text)
 
 
 def _patterns_from(args) -> list[Hypergraph]:
@@ -55,7 +53,9 @@ def _patterns_from(args) -> list[Hypergraph]:
         for token in args.family.split(","):
             pats.append(named_hypergraph(token.strip()))
     if getattr(args, "infile", None):
-        pats.append(_read_hypergraph(args.infile))
+        pats.append(
+            _read(args.infile, formats.hypergraph_from_json, formats.hypergraph_from_text)
+        )
     if not pats:
         raise ValueError("need --family descriptor(s) or --in FILE")
     return pats
@@ -194,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     _add_pattern_flags(p)
     _add_budget_flags(p)
-    p.add_argument("--root-symmetry", action="store_true")
     _add_io_flags(p)
     p = solsub.add_parser("ar", help="least color count forcing a rainbow copy")
     p.add_argument("--n", type=int, required=True)
@@ -232,35 +231,30 @@ def _family_text(fam: Family) -> str:
 
 def _cmd_construct(args) -> int:
     if args.what == "turan":
-        h = turan_hypergraph(args.n, args.ell, args.r)
+        built = turan_hypergraph(args.n, args.ell, args.r)
     elif args.what == "special":
-        h = special_blowup_graph(args.kind, args.ell, args.t)
+        built = special_blowup_graph(args.kind, args.ell, args.t)
     elif args.what == "expansion":
-        h = expansion(_single_pattern(args), args.r)
+        built = expansion(_single_pattern(args), args.r)
     elif args.what == "blowup":
-        h = blowup(_single_pattern(args), args.t)
+        built = blowup(_single_pattern(args), args.t)
     elif args.what == "split":
         verts = [int(tok) for tok in args.vertices.split(",") if tok.strip() != ""]
-        h = split_set(_single_pattern(args), verts, args.mode)
+        built = split_set(_single_pattern(args), verts, args.mode)
     elif args.what == "split-family":
-        fam = splitting_family(_single_pattern(args), args.mode)
-        _emit(args, _family_text(fam), _family_payload(fam))
-        return 0
+        built = splitting_family(_single_pattern(args), args.mode)
     elif args.what == "minus":
-        fam = minus_family(
-            _single_pattern(args), drop_isolated=not args.keep_isolated
-        )
-        _emit(args, _family_text(fam), _family_payload(fam))
-        return 0
+        built = minus_family(_single_pattern(args), drop_isolated=not args.keep_isolated)
     elif args.what == "pendant-minus":
-        fam = pendant_minus_family(
+        built = pendant_minus_family(
             _single_pattern(args), args.k, drop_isolated=not args.keep_isolated
         )
-        _emit(args, _family_text(fam), _family_payload(fam))
-        return 0
     else:  # pragma: no cover - argparse guards
         raise ValueError(args.what)
-    _emit(args, formats.hypergraph_to_text(h), formats.hypergraph_to_json(h))
+    if isinstance(built, Family):
+        _emit(args, _family_text(built), _family_payload(built))
+    else:
+        _emit(args, formats.hypergraph_to_text(built), formats.hypergraph_to_json(built))
     return 0
 
 
@@ -270,17 +264,8 @@ def _cmd_color(args) -> int:
     return 0
 
 
-def _read_coloring(path: str):
-    text = Path(path).read_text()
-    if path.endswith(".json"):
-        import json
-
-        return formats.coloring_from_json(json.loads(text))
-    return formats.coloring_from_text(text)
-
-
 def _cmd_check(args) -> int:
-    chi = _read_coloring(args.coloring)
+    chi = _read(args.coloring, formats.coloring_from_json, formats.coloring_from_text)
     fam = make_family(_patterns_from(args))
     budget = _budget_from(args)
     try:
@@ -320,7 +305,7 @@ def _cmd_solve(args) -> int:
     budget = _budget_from(args)
     if args.what == "ex":
         fam = make_family(_patterns_from(args))
-        rep = exact_turan(args.n, fam, budget=budget, root_symmetry=args.root_symmetry)
+        rep = exact_turan(args.n, fam, budget=budget)
     else:
         rep = exact_anti_ramsey(args.n, _single_pattern(args), budget=budget)
     _emit(args, formats.report_to_text(rep), formats.report_to_json(rep))

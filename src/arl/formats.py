@@ -10,14 +10,14 @@ Text formats are line based and carry exactly the canonical object:
 JSON mirrors the same fields.  Parsing is strict: anything that would not
 re-serialize to the same bytes (unsorted edges, gap in color ids, wrong
 counts) is rejected rather than repaired, so round trips are exact.  A field
-of a hypergraph or coloring payload that is missing or of the wrong shape is
-a ValueError naming it.
+of a hypergraph, coloring or report payload that is missing or of the wrong
+shape is a ValueError naming it.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import BoundsTable
 from .coloring import Coloring, make_coloring
@@ -74,21 +74,31 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
     return {"n": h.n, "r": h.r, "edges": [list(e) for e in h.edges]}
 
 
-def _json_ints(d: dict, name: str, depth: int = 0):
-    """d[name]: an integer (depth 0), a list of them (1) or a list of such lists
-    (2).  A ValueError names the field when it is missing or of another shape."""
+def _json_field(d: dict, name: str, kind: str, ok: Callable[[object], bool]):
+    """d[name], or a ValueError naming the field when it is missing or ok
+    rejects it; kind says what ok accepts."""
     if not isinstance(d, dict) or name not in d:
         raise ValueError(f"JSON field {name!r} is missing")
-
-    def ok(v: object, k: int) -> bool:
-        if k == 0:
-            return isinstance(v, int) and not isinstance(v, bool)
-        return isinstance(v, list) and all(ok(x, k - 1) for x in v)
-
-    if not ok(d[name], depth):
-        kind = ("an integer", "a list of integers", "a list of integer lists")[depth]
+    if not ok(d[name]):
         raise ValueError(f"JSON field {name!r} must be {kind}, got {d[name]!r}")
     return d[name]
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _json_ints(d: dict, name: str, depth: int = 0):
+    """d[name]: an integer (depth 0), a list of them (1) or a list of such
+    lists (2)."""
+
+    def ok(v: object, k: int = depth) -> bool:
+        if k == 0:
+            return _is_int(v)
+        return isinstance(v, list) and all(ok(x, k - 1) for x in v)
+
+    kinds = ("an integer", "a list of integers", "a list of integer lists")
+    return _json_field(d, name, kinds[depth], ok)
 
 
 def hypergraph_from_json(d: dict) -> Hypergraph:
@@ -162,23 +172,24 @@ def report_to_json(rep: SearchReport) -> dict:
 
 
 def report_from_json(d: dict) -> SearchReport:
-    w = d.get("witness")
-    witness: object = None
+    w = _json_field(d, "witness", "an object or null",
+                    lambda v: v is None or isinstance(v, dict))
     if w is not None:
-        if w["kind"] == "hypergraph":
-            witness = hypergraph_from_json(w)
-        elif w["kind"] == "coloring":
-            witness = coloring_from_json(w)
-        else:
-            raise ValueError(f"unknown witness kind {w['kind']!r}")
+        kind = _json_field(w, "kind", "'hypergraph' or 'coloring'",
+                           lambda v: v in ("hypergraph", "coloring"))
+        w = hypergraph_from_json(w) if kind == "hypergraph" else coloring_from_json(w)
+    value = _json_field(d, "value", "an integer or null", lambda v: v is None or _is_int(v))
+    elapsed_ms = _json_field(d, "elapsed_ms", "a number",
+                             lambda v: _is_int(v) or isinstance(v, float))
     return SearchReport(
-        value=d["value"],
-        witness=witness,
-        nodes=d["nodes"],
-        elapsed=d["elapsed_ms"] / 1000.0,
-        status=d["status"],
-        instance=d["instance"],
-        leaves=d.get("leaves"),
+        value=value,
+        witness=w,
+        nodes=_json_ints(d, "nodes"),
+        elapsed=elapsed_ms / 1000.0,
+        status=_json_field(d, "status", "'exact' or 'budget_exhausted'",
+                           lambda v: v in ("exact", "budget_exhausted")),
+        instance=_json_field(d, "instance", "an object", lambda v: isinstance(v, dict)),
+        leaves=_json_ints(d, "leaves") if "leaves" in d else None,
     )
 
 

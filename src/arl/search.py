@@ -137,17 +137,22 @@ def exact_turan(
     patterns: Union[Hypergraph, Family, Iterable[Hypergraph]],
     *,
     budget: Optional[SearchBudget] = None,
-    root_symmetry: bool = False,
 ) -> SearchReport:
     """Maximum edge count of a pattern-free r-graph on n vertices.
 
     Branch and bound over the colex edge list, include branch first, so the
     first optimum reached is the colex-greedy one.  Including an edge is
     vetoed when it completes a copy of a forbidden pattern; the check is
-    anchored at that edge, which keeps each node cheap.  root_symmetry
-    additionally forces the rank-0 edge into the graph (sound because any
-    nonempty optimum can be relabeled to contain it) and must never change
-    the answer, only the node count.
+    anchored at that edge, which keeps each node cheap.
+
+    Edge 0 is never excluded once it can be included: that branch gets no
+    exclude sibling, so edge 0 is in every leaf.  This is sound because
+    pattern-freeness and edge count do not change under relabeling the
+    vertices, and K_n^r is edge-transitive, so any nonempty optimum can be
+    relabeled to contain edge 0.  If edge 0 alone completes a copy, then so
+    does every single edge; the exclude chain still runs and returns 0.
+    The include subtree of edge 0 is searched first either way, so the value
+    and the witness are those of the search without the rule.
     """
     fam = _coerce_family(patterns)
     if n < 0:
@@ -163,7 +168,6 @@ def exact_turan(
         "n": n,
         "r": r,
         "patterns": _edges_payload(fam),
-        "root_symmetry": root_symmetry,
     }
 
     members = _drop_redundant(fam)
@@ -189,12 +193,9 @@ def exact_turan(
     # Explicit-stack DFS, include branch first.  An entry (j, count, undo)
     # visits the node deciding edge j with count edges chosen so far; with
     # undo set it first retracts edge j, whose include subtree is finished,
-    # and visits the exclude branch at j + 1.
-    if root_symmetry and M > 0:
-        present[masks[0]] = 0
-        stack = [] if completes_copy(0) else [(1, 1, False)]
-    else:
-        stack = [(0, 0, False)]
+    # and visits the exclude branch at j + 1.  Edge 0, once included, is
+    # never retracted (see the docstring).
+    stack = [(0, 0, False)]
     status = "exact"
     try:
         while stack:
@@ -214,7 +215,8 @@ def exact_turan(
                 del present[masks[j]]
                 stack.append((j + 1, count, False))
             else:
-                stack.append((j, count, True))
+                if j:
+                    stack.append((j, count, True))
                 stack.append((j + 1, count + 1, False))
     except BudgetExhausted:
         status = "budget_exhausted"

@@ -69,6 +69,14 @@ def _row(name: str, expected, got, ok: Optional[bool], note: str = "") -> CheckR
     return CheckRow(name, str(expected), str(got), verdict, note)
 
 
+def _exact_row(name: str, want, rep) -> CheckRow:
+    """A solver report checked against want; a report that is not exact
+    skips with got "budget" instead of guessing."""
+    if rep.status != "exact":
+        return _row(name, want, "budget", None)
+    return _row(name, want, rep.value, rep.value == want)
+
+
 def _bound_row(name: str, row: BoundRow) -> CheckRow:
     """A bound_report row as a check: satisfied passes, violated fails, and
     an indeterminate or not-applicable row skips with the row's note."""
@@ -94,12 +102,8 @@ def _crit_k4_exact(budget) -> list[CheckRow]:
     K4 = complete_graph(4)
     for n in (4, 5):
         want = n * n // 4 + 2
-        rep = exact_anti_ramsey(n, K4, budget=budget)
-        if rep.status != "exact":
-            rows.append(_row(f"k4-exact: ar({n},K4) == {want}", want, "budget", None))
-        else:
-            rows.append(_row(f"k4-exact: ar({n},K4) == {want}", want, rep.value,
-                             rep.value == want))
+        rows.append(_exact_row(f"k4-exact: ar({n},K4) == {want}", want,
+                               exact_anti_ramsey(n, K4, budget=budget)))
     return rows
 
 
@@ -144,12 +148,8 @@ def _crit_turan_oracle(budget) -> list[CheckRow]:
         K = complete_graph(ell + 1)
         for n in range(1, 9):
             want = turan_count(n, ell, 2)
-            rep = exact_turan(n, K, budget=budget)
-            name = f"turan-solver: ex({n},K{ell + 1}) == {want}"
-            if rep.status != "exact":
-                rows.append(_row(name, want, "budget", None))
-            else:
-                rows.append(_row(name, want, rep.value, rep.value == want))
+            rows.append(_exact_row(f"turan-solver: ex({n},K{ell + 1}) == {want}", want,
+                                   exact_turan(n, K, budget=budget)))
     bad = []
     total = 0
     for n in range(0, 13):

@@ -192,6 +192,49 @@ class TestReportRoundTrip:
         with pytest.raises(ValueError):
             formats.report_from_json(d)
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.pop("elapsed_ms"), "'elapsed_ms'"),
+            (lambda d: d.pop("nodes"), "'nodes'"),
+            (lambda d: d.pop("status"), "'status'"),
+            (lambda d: d.pop("value"), "'value'"),
+            (lambda d: d.pop("instance"), "'instance'"),
+            (lambda d: d.pop("witness"), "'witness'"),
+            (lambda d: d["witness"].pop("kind"), "'kind'"),
+            (lambda d: d.update(nodes="many"), "'nodes'"),
+            (lambda d: d.update(nodes=True), "'nodes'"),
+            (lambda d: d.update(value=6.0), "'value'"),
+            (lambda d: d.update(elapsed_ms="1"), "'elapsed_ms'"),
+            (lambda d: d.update(status="done"), "'status'"),
+            (lambda d: d.update(instance=[]), "'instance'"),
+            (lambda d: d.update(witness=[]), "'witness'"),
+            (lambda d: d.update(leaves="5"), "'leaves'"),
+            (lambda d: d["witness"].pop("edges"), "'edges'"),
+        ],
+        ids=[
+            "no-elapsed", "no-nodes", "no-status", "no-value", "no-instance",
+            "no-witness", "no-kind", "nodes-str", "nodes-bool", "value-float",
+            "elapsed-str", "status-unknown", "instance-list", "witness-list",
+            "leaves-str", "witness-no-edges",
+        ],
+    )
+    def test_json_bad_field_named(self, edit, field):
+        d = formats.report_to_json(exact_turan(4, [complete_graph(3)]))
+        edit(d)
+        with pytest.raises(ValueError, match=field):
+            formats.report_from_json(d)
+
+    def test_optional_fields(self):
+        # leaves may be absent, and the witness and value may be null
+        rep = exact_turan(4, [complete_graph(3)])
+        d = formats.report_to_json(rep)
+        assert "leaves" not in d and formats.report_from_json(d).leaves is None
+        d.update(value=None, witness=None, status="budget_exhausted", elapsed_ms=3)
+        back = formats.report_from_json(d)
+        assert back.value is None and back.witness is None
+        assert back.elapsed == 0.003
+
 
 class TestBounds:
     def test_json_shape(self):

@@ -13,9 +13,15 @@ from arl.constructions import (
     single_edge,
     turan_count,
 )
-from arl.coloring import find_rainbow_copy
-from arl.hypergraph import has_copy, kn_edges, make_hypergraph
-from arl.search import SearchBudget, exact_anti_ramsey, exact_turan, verify_feasibility
+from arl.coloring import RainbowEmbedder, find_rainbow_copy
+from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph
+from arl.search import (
+    SearchBudget,
+    _drop_redundant,
+    exact_anti_ramsey,
+    exact_turan,
+    verify_feasibility,
+)
 from helpers import brute_ar, brute_ex
 
 K3 = complete_graph(3)
@@ -88,18 +94,52 @@ class TestExactTuran:
         b = exact_turan(6, [K3])
         assert a.value == b.value and a.witness == b.witness and a.nodes == b.nodes
 
-    def test_root_symmetry_same_answer(self):
-        for n in (4, 5, 6):
-            plain = exact_turan(n, [K3])
-            sym = exact_turan(n, [K3], root_symmetry=True)
-            assert sym.value == plain.value
-            assert sym.witness == plain.witness
-            assert sym.nodes <= plain.nodes
+    def test_first_edge_rule_against_brute(self):
+        # the search keeps edge 0 in every leaf; the brute-force oracle has no
+        # such rule, so a case the rule gets wrong shows up as a lower value
+        fixed = [
+            (0, [K3]),
+            (1, [single_edge(2)]),
+            (3, [single_edge(2)]),
+            (4, [single_edge(3)]),
+            (4, [make_hypergraph(5, 2, [(0, 1)])]),  # single edge, isolated vertices
+            (5, [make_hypergraph(6, 2, [(0, 1), (1, 2)])]),  # isolated vertices
+            (5, [make_hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])]),
+            (5, [make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)]), complete_hypergraph(4, 3)]),
+            (5, [K3, make_hypergraph(4, 2, [(0, 1), (2, 3)])]),
+            (5, [path_graph(3), cycle_graph(4), K4]),
+        ]
+        rng = random.Random(2718)
+        cases = fixed + [
+            (rng.randint(0, 5), [random_pattern(rng, r) for _ in range(rng.randint(1, 3))])
+            for r in (2, 3)
+            for _ in range(10)
+        ]
+        for n, fam in cases:
+            r = fam[0].r
+            rep = exact_turan(n, fam)
+            assert rep.value == brute_ex(n, fam, r), (n, [f.edges for f in fam])
+            assert verify_feasibility(rep)
+            if rep.value:
+                assert kn_edges(n, r)[0] in rep.witness.edge_set
 
     def test_redundant_members_dropped(self):
-        # K4 contains K3, so adding K4 changes nothing
+        # K4 contains K3, so forbidding K3 already forbids K4: only K3 is
+        # kept, and the search builds one embedder instead of two
+        assert _drop_redundant(make_family([K3, K4])) == [K3]
+        assert _drop_redundant(make_family([K4, K3])) == [K3]
+        built = []
+
+        class CountingEmbedder(RainbowEmbedder):
+            def __init__(self, n, f):
+                built.append(f)
+                super().__init__(n, f)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("arl.search.RainbowEmbedder", CountingEmbedder)
+            b = exact_turan(5, [K3, K4])
+        assert built == [K3]
         a = exact_turan(5, [K3])
-        b = exact_turan(5, [K3, K4])
         assert a.value == b.value and a.nodes == b.nodes
 
     def test_budget_exhaustion(self):
@@ -214,8 +254,8 @@ def test_budget_exhaustion_on_deep_host():
 @pytest.mark.parametrize(
     "solve, nodes",
     [
-        (lambda: exact_turan(7, [K4]), 7618),
-        (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 9845),
+        (lambda: exact_turan(7, [K4]), 5055),
+        (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 5274),
         (lambda: exact_anti_ramsey(5, K4), 5526),
         (lambda: exact_anti_ramsey(5, cycle_graph(4)), 8241),
         (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 7898),
@@ -224,7 +264,8 @@ def test_budget_exhaustion_on_deep_host():
 )
 def test_node_counts_pinned(solve, nodes):
     # solver node counts are deterministic; a change in how the host is read
-    # must leave them alone, and only a change to pruning may move them
+    # must leave them alone, and only a change to pruning or symmetry
+    # breaking may move them
     rep = solve()
     assert rep.status == "exact"
     assert rep.nodes == nodes
