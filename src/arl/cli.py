@@ -74,7 +74,7 @@ def _budget_from(args) -> Optional[SearchBudget]:
     if nodes is None and secs is None:
         env = os.environ.get("ARL_DEFAULT_BUDGET", "").strip()
         if env:
-            parts = env.split(",")
+            parts = env.split(",", 1)  # a third field fails the float parse
             try:
                 nodes = int(parts[0])
                 secs = float(parts[1]) if len(parts) > 1 else None

@@ -22,7 +22,7 @@ from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
-from .canonical import automorphism_generators
+from .canonical import automorphism_generators, orbit
 from .constructions import turan_partition
 from .hypergraph import (
     Embedding,
@@ -67,6 +67,7 @@ class Coloring:
     num_colors: int
 
     def __post_init__(self) -> None:
+        Hypergraph(self.n, self.r, ())  # the host's n >= 0 and r >= 1 checks
         expect = comb(self.n, self.r)
         if len(self.colors) != expect:
             raise ValueError(
@@ -207,18 +208,9 @@ class RainbowEmbedder:
         for fe in self.f.edges:
             seeds = []
             for t in itertools.permutations(fe):
-                if t in seen:
-                    continue
-                seeds.append(t)
-                seen.add(t)
-                frontier = [t]
-                while frontier:
-                    s = frontier.pop()
-                    for g in gens:
-                        u = tuple(g[v] for v in s)
-                        if u not in seen:
-                            seen.add(u)
-                            frontier.append(u)
+                if t not in seen:
+                    seeds.append(t)
+                    seen |= orbit([t], gens, lambda g, s: tuple(g[v] for v in s))
             if seeds:
                 order = self._order(self.verts, seed=fe)
                 plans.append((seeds, order, self._schedule(order)))

@@ -58,6 +58,11 @@ class SearchBudget:
     max_nodes: Optional[int] = None
     max_seconds: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for cap in (self.max_nodes, self.max_seconds):
+            if cap is not None and not cap >= 0:  # NaN fails too
+                raise ValueError(f"budget caps must be >= 0, got {cap}")
+
 
 @dataclass(frozen=True)
 class SearchReport:

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from arl.bounds import bound_report
@@ -48,6 +50,38 @@ class TestExpandedPathTable:
         assert bound_report(6, path_graph(2), r=3).target.r == 3
         with pytest.raises(ValueError):
             bound_report(6, path_graph(2), r=1)
+
+
+class TestTargetFit:
+    @pytest.mark.parametrize(
+        "n, base, r, need",
+        [(2, K3, None, 3), (3, complete_graph(4), None, 4), (4, path_graph(2), 3, 5)],
+    )
+    def test_misfit_rows_are_soft(self, n, base, r, need):
+        # no copy fits, so ar = C(n,r) + 1 and the small-n claims do not apply
+        t = bound_report(n, base, r=r)
+        assert t.ar_value == comb(n, t.r) + 1
+        assert t.hard_ok
+        assert any(row.verdict == "indeterminate" for row in t.rows)
+        for row in t.rows:
+            assert not row.hard
+            if row.name != "upper-expansion":
+                assert row.note.endswith(f"target does not fit: {need} vertices > n")
+
+    def test_rows_are_hard_once_target_fits(self):
+        t = bound_report(4, complete_graph(4))
+        rows = row_map(t)
+        assert rows["lower-minus"].hard and rows["upper-pendant-k1"].hard
+        # ex = C(4,2) - 2 here; a near-complete extremal graph needs no caveat
+        assert rows["lower-minus"].note == ""
+        assert t.hard_ok
+
+    def test_exhausting_extremal_graph_gets_no_caveat(self):
+        # ex(2, P3_-) = 0 = C(2,2) - 1 and the lower bound still holds; the
+        # only caveat left is that P3 needs 3 vertices
+        low = row_map(bound_report(2, path_graph(2)))["lower-minus"]
+        assert (low.rhs, low.verdict, low.hard) == (2, "satisfied", False)
+        assert low.note == "target does not fit: 3 vertices > n"
 
 
 class TestDegenerateBase:

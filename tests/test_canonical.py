@@ -12,7 +12,9 @@ from arl.canonical import (
     canonical_form,
     canonical_key,
     distinct_classes,
+    orbit,
 )
+from arl.coloring import RainbowEmbedder
 from arl.constructions import (
     complete_graph,
     complete_hypergraph,
@@ -102,6 +104,19 @@ class TestInvariance:
             ref = canonical_key(h)
             for _ in range(10):
                 assert canonical_key(relabel(h, random_perm(rng, n))) == ref
+        # large automorphism groups, where orbit pruning does the work
+        symmetric = [
+            make_hypergraph(14, 2, []),
+            make_hypergraph(12, 2, [(2 * i, 2 * i + 1) for i in range(6)]),
+            make_hypergraph(12, 2, [e for i in range(0, 12, 3) for e in
+                                    ((i, i + 1), (i, i + 2), (i + 1, i + 2))]),
+            make_hypergraph(8, 2, [(a, b) for a in range(4) for b in range(4, 8)]),
+            expansion(complete_graph(4), 3),
+        ]
+        for h in symmetric:
+            ref = canonical_key(h)
+            for _ in range(5):
+                assert canonical_key(relabel(h, random_perm(rng, h.n))) == ref
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**15 - 1), st.permutations(list(range(5))))
@@ -156,30 +171,68 @@ def brute_automorphisms(h):
     }
 
 
+PATTERNS = [
+    ("K2", named_hypergraph("K2"), 2),
+    ("K3", named_hypergraph("K3"), 6),
+    ("K4", named_hypergraph("K4"), 24),
+    ("K5", named_hypergraph("K5"), 120),
+    ("C4", named_hypergraph("C4"), 8),
+    ("C5", named_hypergraph("C5"), 10),
+    ("C6", named_hypergraph("C6"), 12),
+    ("P3", named_hypergraph("P3"), 2),
+    ("P4", named_hypergraph("P4"), 2),
+    ("triple", named_hypergraph("triple"), 6),
+    ("K4^3", complete_hypergraph(4, 3), 24),
+    ("K5^3", complete_hypergraph(5, 3), 120),
+    ("expansion(K3,3)", expansion(complete_graph(3), 3), 6),
+    ("expansion(P3,3)", expansion(path_graph(2), 3), 8),
+    ("K3+2K1", make_hypergraph(5, 2, complete_graph(3).edges), 12),
+]
+
+
+def on_tuple(g, s):
+    return tuple(g[v] for v in s)
+
+
+def ordered_edges(h):
+    return [t for e in h.edges for t in itertools.permutations(e)]
+
+
 class TestAutomorphismGenerators:
-    @pytest.mark.parametrize(
-        "name, h, order",
-        [
-            ("K2", named_hypergraph("K2"), 2),
-            ("K3", named_hypergraph("K3"), 6),
-            ("K4", named_hypergraph("K4"), 24),
-            ("K5", named_hypergraph("K5"), 120),
-            ("C4", named_hypergraph("C4"), 8),
-            ("C5", named_hypergraph("C5"), 10),
-            ("C6", named_hypergraph("C6"), 12),
-            ("P3", named_hypergraph("P3"), 2),
-            ("P4", named_hypergraph("P4"), 2),
-            ("triple", named_hypergraph("triple"), 6),
-            ("K4^3", complete_hypergraph(4, 3), 24),
-            ("K5^3", complete_hypergraph(5, 3), 120),
-            ("expansion(K3,3)", expansion(complete_graph(3), 3), 6),
-            ("expansion(P3,3)", expansion(path_graph(2), 3), 8),
-            ("K3+2K1", make_hypergraph(5, 2, complete_graph(3).edges), 12),
-        ],
-    )
+    @pytest.mark.parametrize("name, h, order", PATTERNS)
     def test_generate_full_group(self, name, h, order):
         gens = automorphism_generators(h)
         assert all(sorted(g) == list(range(h.n)) for g in gens)
         group = close_group(gens, h.n)
         assert group == brute_automorphisms(h)
         assert len(group) == order
+
+
+class TestOrbit:
+    def test_small_cases(self):
+        assert orbit([], [(1, 0)]) == set()
+        assert orbit([0], []) == {0}
+        assert orbit([0], [(1, 2, 0)]) == {0, 1, 2}
+        assert orbit([0, 3], [(1, 0, 2, 3)]) == {0, 1, 3}
+        assert orbit([(0, 1)], [(1, 2, 0)], on_tuple) == {(0, 1), (1, 2), (2, 0)}
+
+    @pytest.mark.parametrize("name, h, order", PATTERNS)
+    def test_matches_brute_orbits(self, name, h, order):
+        gens = automorphism_generators(h)
+        group = brute_automorphisms(h)
+        for v in range(h.n):
+            assert orbit([v], gens) == {p[v] for p in group}
+        for t in ordered_edges(h):
+            assert orbit([t], gens, on_tuple) == {on_tuple(p, t) for p in group}
+
+    @pytest.mark.parametrize("name, h, order", PATTERNS)
+    def test_anchored_plans_one_seed_per_edge_orbit(self, name, h, order):
+        group = brute_automorphisms(h)
+        orbits = {frozenset(on_tuple(p, t) for p in group) for t in ordered_edges(h)}
+        plans = RainbowEmbedder(h.n, h).anchored_plans
+        seeds = [t for plan_seeds, _, _ in plans for t in plan_seeds]
+        assert len(seeds) == len(orbits)
+        assert all(sum(t in o for t in seeds) == 1 for o in orbits)
+        # every seed orders the pattern edge its plan is anchored on
+        for plan_seeds, plan_order, _ in plans:
+            assert all(sorted(t) == sorted(plan_order[: len(t)]) for t in plan_seeds)

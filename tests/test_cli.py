@@ -130,6 +130,20 @@ class TestSolve:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags", [["--budget-nodes", "-1"], ["--budget-secs", "-0.5"]]
+    )
+    def test_negative_budget_is_usage_error(self, capsys, flags):
+        argv = ["solve", "ar", "--n", "4", "--family", "K3"] + flags
+        assert run_command(argv) == 2
+        assert "must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["100,5,7", "-5", "100,-1", "100,nan"])
+    def test_bad_env_budget_is_usage_error(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("ARL_DEFAULT_BUDGET", env)
+        assert run_command(["solve", "ar", "--n", "4", "--family", "K3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestColorAndCheck:
     def test_layered_roundtrip(self, capsys):
@@ -190,6 +204,12 @@ class TestBoundsCommand:
         assert code == 0
         d = json.loads(capsys.readouterr().out)
         assert d["ar_value"] == 5 and d["hard_ok"] is True
+
+    def test_target_too_large_for_host(self, capsys):
+        assert run_command(["bounds", "--n", "2", "--family", "K3"]) == 0
+        out = capsys.readouterr().out
+        assert "[indeterminate, soft]  # target does not fit: 3 vertices > n" in out
+        assert "hard bounds ok: yes" in out
 
     def test_budget_exit(self, capsys):
         code = run_command(

@@ -140,6 +140,23 @@ class TestColoringRoundTrip:
         with pytest.raises(ValueError, match=field):
             formats.coloring_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "n, r, colors, message",
+        [
+            (3, 0, [0], "uniformity must be >= 1, got 0"),
+            (2, -1, [], "uniformity must be >= 1, got -1"),
+            (-1, 2, [], "vertex count must be >= 0, got -1"),
+        ],
+    )
+    def test_shape_rejected(self, n, r, colors, message):
+        m = len(set(colors))
+        text = f"{n} {r} {m}\n" + " ".join(map(str, colors)) + "\n"
+        with pytest.raises(ValueError, match=message):
+            formats.coloring_from_text(text)
+        payload = {"n": n, "r": r, "num_colors": m, "colors": colors}
+        with pytest.raises(ValueError, match=message):
+            formats.coloring_from_json(payload)
+
     def test_gap_rejected(self):
         with pytest.raises(ValueError):
             formats.coloring_from_text("3 2 2\n0 2 0\n")
