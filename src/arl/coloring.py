@@ -57,6 +57,12 @@ class BudgetExhausted(RuntimeError):
         self.nodes = nodes
 
 
+def check_cap(cap: Optional[float]) -> None:
+    """Reject a negative or NaN budget cap; None means unlimited."""
+    if cap is not None and not cap >= 0:  # NaN fails too
+        raise ValueError(f"budget caps must be >= 0, got {cap}")
+
+
 @dataclass(frozen=True)
 class Coloring:
     """Surjective edge coloring of K_n^r with contiguous 0-based color ids."""
@@ -345,8 +351,9 @@ def find_rainbow_copy(
     Exhaustive backtracking over partial embeddings, pruning as soon as two
     fully mapped edges collide in color.  limit caps the number of assignment
     nodes; exceeding it raises BudgetExhausted (an explicit "undecided",
-    never a silent no).
+    never a silent no).  A negative or NaN limit raises ValueError.
     """
+    check_cap(limit)
     if f.r != chi.r:
         raise ValueError(f"uniformity mismatch: pattern {f.r}, coloring {chi.r}")
     color_of = {vertex_mask(e): c for e, c in zip(kn_edges(chi.n, chi.r), chi.colors)}
@@ -363,8 +370,9 @@ def is_rainbow_family_free(
     """True when no member has a rainbow copy; otherwise points at one that has.
 
     Budget exhaustion propagates as BudgetExhausted: an undecided check is
-    never reported as free.
+    never reported as free.  A negative or NaN limit raises ValueError.
     """
+    check_cap(limit)
     for i, member in enumerate(fam.members):
         w = find_rainbow_copy(chi, member, limit=limit)
         if w is not None:

@@ -8,10 +8,15 @@ Two solvers share the same report shape:
                       of a pattern in K_n^r, computed as one plus the largest
                       color count of a rainbow-free coloring.
 
-Both walk edges in colex rank order and prune through checks anchored at the
-newest decision, so a feasible prefix is never re-tested against old edges.
-The walks keep explicit stacks, so host size is not capped by the
-interpreter's recursion limit.
+Both run one depth-first loop, _branch_and_bound, over the colex edge list.
+They differ only in the values an edge may take, given the number top of
+colors used on earlier edges: exact_turan tries (top, None), a fresh color
+and then "left out", so distinct edges get distinct colors and a rainbow copy
+is a copy; exact_anti_ramsey tries range(top + 1), the restricted growth
+strings.  A color is vetoed by a check anchored at the newest edge, so a
+feasible prefix is never re-tested against old edges.  A node is one value
+tried on one edge.  The loop keeps an explicit stack, so host size is not
+capped by the interpreter's recursion limit.
 Budgets cap nodes and wall time; a tripped budget yields an honest
 "budget_exhausted" report instead of an unproven value.
 """
@@ -19,14 +24,14 @@ Budgets cap nodes and wall time; a tripped budget yields an honest
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .coloring import (
-    BudgetExhausted,
     Coloring,
     RainbowEmbedder,
+    check_cap,
     find_rainbow_copy,
     make_coloring,
 )
@@ -59,9 +64,8 @@ class SearchBudget:
     max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for cap in (self.max_nodes, self.max_seconds):
-            if cap is not None and not cap >= 0:  # NaN fails too
-                raise ValueError(f"budget caps must be >= 0, got {cap}")
+        check_cap(self.max_nodes)
+        check_cap(self.max_seconds)
 
 
 @dataclass(frozen=True)
@@ -79,28 +83,6 @@ class SearchReport:
     status: str
     instance: dict
     leaves: Optional[int] = None
-
-
-class _Meter:
-    """Node and wall-clock accounting shared by both solvers."""
-
-    def __init__(self, budget: Optional[SearchBudget]):
-        self.nodes = 0
-        self.start = time.monotonic()
-        self.max_nodes = budget.max_nodes if budget else None
-        self.max_seconds = budget.max_seconds if budget else None
-
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExhausted(self.nodes)
-        if self.max_seconds is not None and (self.nodes & _TIME_CHECK_MASK) == 0:
-            if time.monotonic() - self.start > self.max_seconds:
-                raise BudgetExhausted(self.nodes)
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self.start
 
 
 def _coerce_family(patterns: Union[Hypergraph, Family, Iterable[Hypergraph]]) -> Family:
@@ -137,6 +119,108 @@ def _drop_redundant(fam: Family) -> list[Hypergraph]:
     return keep
 
 
+def _branch_and_bound(
+    n: int,
+    r: int,
+    matchers: list[RainbowEmbedder],
+    choices: Callable[[int], Sequence[Optional[int]]],
+    budget: Optional[SearchBudget],
+    prune_bound: bool,
+) -> SearchReport:
+    """Depth-first branch and bound over the colex edge list of K_n^r.
+
+    Edge j gets each value of choices(top) in order, where top is the number
+    of colors used on edges before j.  A value is None, which leaves the edge
+    out, or a color in range(top + 1), where top itself is a fresh color.  A
+    color is vetoed when some matcher's anchored find completes a rainbow
+    copy through edge j.  A node is one value tried on one edge.  With
+    prune_bound, a value that fits gets no subtree when a fresh color on
+    every later edge could not beat the best leaf.
+
+    Stack invariant: an entry (j, top, i) tries value i of choices(top) on
+    edge j, and i == len(choices(top)) leaves edge j.  The entry for i + 1
+    sits below the subtree of value i, so the values run in order.  Every
+    edge before the one being tried holds its value in the mask-keyed dict
+    the matchers read; later edges are absent.
+
+    Edge 0 keeps the first value that fits: that value gets no sibling.  This
+    is sound when the first value of choices(0) is color 0.  A leaf's color
+    count and its rainbow-freeness do not change under relabeling the
+    vertices, and K_n^r is edge-transitive, so any leaf that colors some edge
+    can be relabeled to color edge 0, with color 0 after renumbering the
+    colors by first use.  If color 0 on edge 0 alone completes a copy, then
+    so does every single edge, and the next value runs.  The subtree of the
+    first value is searched first either way, so the best leaf is the one
+    the search without the rule finds.
+
+    The report's value is the best leaf's color count (None unless exact)
+    and its witness that leaf's values in colex order (None if no leaf was
+    reached); the callers shape both and fill in the instance.
+    """
+    edges = kn_edges(n, r)
+    M = len(edges)
+    masks = [vertex_mask(e) for e in edges]
+    options = [choices(top) for top in range(M + 1)]
+    finds = [em.find for em in matchers]
+    color_of: dict[int, Optional[int]] = {}  # vertex mask -> value of each decided edge
+    get = color_of.get
+
+    budget = budget or SearchBudget()
+    max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
+    start = time.monotonic()
+    nodes = 0
+    best = -1
+    best_values: Optional[tuple[Optional[int], ...]] = None
+    leaves = 0
+    stack = [(0, 0, 0)]
+    status = "exact"
+    while stack:
+        j, top, i = stack.pop()
+        if j == M:
+            leaves += 1
+            if top > best:
+                best = top
+                best_values = tuple(map(get, masks))
+            continue
+        opts = options[top]
+        if i == len(opts):
+            del color_of[masks[j]]
+            continue
+        nodes += 1
+        if (max_nodes is not None and nodes > max_nodes) or (
+            max_seconds is not None
+            and not nodes & _TIME_CHECK_MASK
+            and time.monotonic() - start > max_seconds
+        ):
+            status = "budget_exhausted"
+            break
+        c = opts[i]
+        color_of[masks[j]] = c
+        fits = True
+        if c is not None:
+            anchor = edges[j]
+            for find in finds:
+                if find(get, anchor=anchor)[0] is not None:
+                    fits = False
+                    break
+        if j or not fits:
+            stack.append((j, top, i + 1))
+        if fits:
+            top += c == top
+            if not prune_bound or top + (M - j - 1) > best:
+                stack.append((j + 1, top, 0))
+
+    return SearchReport(
+        value=best if status == "exact" else None,
+        witness=best_values,
+        nodes=nodes,
+        elapsed=time.monotonic() - start,
+        status=status,
+        instance={},
+        leaves=leaves,
+    )
+
+
 def exact_turan(
     n: int,
     patterns: Union[Hypergraph, Family, Iterable[Hypergraph]],
@@ -145,19 +229,11 @@ def exact_turan(
 ) -> SearchReport:
     """Maximum edge count of a pattern-free r-graph on n vertices.
 
-    Branch and bound over the colex edge list, include branch first, so the
-    first optimum reached is the colex-greedy one.  Including an edge is
-    vetoed when it completes a copy of a forbidden pattern; the check is
-    anchored at that edge, which keeps each node cheap.
-
-    Edge 0 is never excluded once it can be included: that branch gets no
-    exclude sibling, so edge 0 is in every leaf.  This is sound because
-    pattern-freeness and edge count do not change under relabeling the
-    vertices, and K_n^r is edge-transitive, so any nonempty optimum can be
-    relabeled to contain edge 0.  If edge 0 alone completes a copy, then so
-    does every single edge; the exclude chain still runs and returns 0.
-    The include subtree of edge 0 is searched first either way, so the value
-    and the witness are those of the search without the rule.
+    Each edge is tried included, with a fresh color, before it is left out,
+    so the first optimum reached is the colex-greedy one.  Distinct chosen
+    edges get distinct colors, so a rainbow copy is exactly a copy, and an
+    edge is vetoed when it completes a copy of a forbidden pattern.  Edge 0
+    is in every leaf once it can be included (see _branch_and_bound).
     """
     fam = _coerce_family(patterns)
     if n < 0:
@@ -166,73 +242,21 @@ def exact_turan(
         if m.num_edges == 0:
             raise ValueError("an edgeless pattern is contained in every graph")
     r = fam.r
-    edges = kn_edges(n, r)
-    M = len(edges)
     instance = {
         "problem": "turan",
         "n": n,
         "r": r,
         "patterns": _edges_payload(fam),
     }
-
-    members = _drop_redundant(fam)
-    matchers = [RainbowEmbedder(n, m) for m in members]
+    matchers = [RainbowEmbedder(n, m) for m in _drop_redundant(fam)]
     matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
-    masks = [vertex_mask(e) for e in edges]
-    # vertex mask -> colex rank of each chosen edge: distinct chosen edges get
-    # distinct "colors", so a rainbow copy is exactly a copy
-    present: dict[int, int] = {}
-
-    meter = _Meter(budget)
-    best = 0
-    best_edges: tuple[tuple[int, ...], ...] = ()
-
-    def completes_copy(j: int) -> bool:
-        anchor = edges[j]
-        for em in matchers:
-            hit, _ = em.find(present.get, anchor=anchor)
-            if hit is not None:
-                return True
-        return False
-
-    # Explicit-stack DFS, include branch first.  An entry (j, count, undo)
-    # visits the node deciding edge j with count edges chosen so far; with
-    # undo set it first retracts edge j, whose include subtree is finished,
-    # and visits the exclude branch at j + 1.  Edge 0, once included, is
-    # never retracted (see the docstring).
-    stack = [(0, 0, False)]
-    status = "exact"
-    try:
-        while stack:
-            j, count, undo = stack.pop()
-            if undo:
-                del present[masks[j]]
-                j += 1
-            meter.tick()
-            if count + (M - j) <= best:
-                continue
-            if j == M:
-                best = count
-                best_edges = tuple(edges[i] for i in sorted(present.values()))
-                continue
-            present[masks[j]] = j
-            if completes_copy(j):
-                del present[masks[j]]
-                stack.append((j + 1, count, False))
-            else:
-                if j:
-                    stack.append((j, count, True))
-                stack.append((j + 1, count + 1, False))
-    except BudgetExhausted:
-        status = "budget_exhausted"
-
-    return SearchReport(
-        value=best if status == "exact" else None,
-        witness=make_hypergraph(n, r, best_edges),
-        nodes=meter.nodes,
-        elapsed=meter.elapsed,
-        status=status,
+    rep = _branch_and_bound(n, r, matchers, lambda top: (top, None), budget, True)
+    chosen = [e for e, c in zip(kn_edges(n, r), rep.witness or ()) if c is not None]
+    return replace(
+        rep,
+        witness=make_hypergraph(n, r, chosen),
         instance=instance,
+        leaves=None,
     )
 
 
@@ -263,8 +287,6 @@ def exact_anti_ramsey(
     if pattern.num_edges == 0:
         raise ValueError("an edgeless pattern is rainbow in every coloring")
     r = pattern.r
-    edges = kn_edges(n, r)
-    M = len(edges)
     instance = {
         "problem": "anti_ramsey",
         "n": n,
@@ -272,54 +294,15 @@ def exact_anti_ramsey(
         "patterns": _edges_payload(make_family([pattern])),
         "prune_bound": prune_bound,
     }
-
-    engine = RainbowEmbedder(n, pattern)
-    masks = [vertex_mask(e) for e in edges]
-    color_of: dict[int, int] = {}  # vertex mask -> color of each colored edge
-
-    meter = _Meter(budget)
-    best = -1
-    best_colors: Optional[tuple[int, ...]] = None
-    leaves = 0
-
-    # Explicit-stack DFS.  An entry (j, top, c) tries color c on edge j, where
-    # top is the number of colors used on edges < j; c == 0 first enters the
-    # node, and c > top leaves it.  The entry for c + 1 sits below the child
-    # of c, so siblings run in increasing color order after each subtree.
-    stack = [(0, 0, 0)]
-    status = "exact"
-    try:
-        while stack:
-            j, top, c = stack.pop()
-            if c == 0:
-                if j == M:
-                    leaves += 1
-                    if top > best:
-                        best = top
-                        best_colors = tuple(color_of[m] for m in masks)
-                    continue
-                if prune_bound and top + (M - j) <= best:
-                    continue
-            if c > top:
-                del color_of[masks[j]]
-                continue
-            stack.append((j, top, c + 1))
-            meter.tick()
-            color_of[masks[j]] = c
-            hit, _ = engine.find(color_of.get, anchor=edges[j])
-            if hit is None:
-                stack.append((j + 1, max(top, c + 1), 0))
-    except BudgetExhausted:
-        status = "budget_exhausted"
-
-    return SearchReport(
-        value=max(best, 0) + 1 if status == "exact" else None,
-        witness=None if best_colors is None else make_coloring(n, r, best_colors),
-        nodes=meter.nodes,
-        elapsed=meter.elapsed,
-        status=status,
+    rep = _branch_and_bound(
+        n, r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), budget, prune_bound
+    )
+    return replace(
+        rep,
+        value=None if rep.value is None else max(rep.value, 0) + 1,
+        witness=None if rep.witness is None else make_coloring(n, r, rep.witness),
         instance=instance,
-        leaves=None if prune_bound else leaves,
+        leaves=None if prune_bound else rep.leaves,
     )
 
 

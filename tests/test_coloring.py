@@ -136,6 +136,15 @@ class TestFindRainbow:
         with pytest.raises(BudgetExhausted):
             find_rainbow_copy(min_endpoint_coloring(6), K3, limit=3)
 
+    @pytest.mark.parametrize("limit", [-1, float("nan")])
+    def test_bad_limit_rejected(self, limit):
+        # a negative cap would read as "undecided" and a NaN cap as no cap
+        chi = min_endpoint_coloring(4)
+        with pytest.raises(ValueError, match="budget caps must be >= 0"):
+            find_rainbow_copy(chi, K3, limit=limit)
+        with pytest.raises(ValueError, match="budget caps must be >= 0"):
+            is_rainbow_family_free(chi, make_family([K3]), limit=limit)
+
     def test_family_report(self):
         chi = min_endpoint_coloring(5)
         fam = make_family([K3, path_graph(2)])

@@ -22,7 +22,7 @@ from arl.search import (
     exact_turan,
     verify_feasibility,
 )
-from helpers import brute_ar, brute_ex
+from helpers import brute_ar, brute_ex, set_partitions
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -251,11 +251,74 @@ def test_budget_exhaustion_on_deep_host():
     assert verify_feasibility(ex_rep)
 
 
+def bell(m):
+    return sum(1 for _ in set_partitions(m))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_node_is_one_value_tried(n):
+    # K5 never fits in K_n, so no value is vetoed and every value tried is a
+    # node.  ex: edge 0 keeps its first value, every later edge tries both,
+    # and the bound cuts every "left out" child, leaving one node per value
+    # on the greedy path.  ar without the bound: every restricted growth
+    # string prefix of length j is one node.
+    M = comb(n, 2)
+    ex = exact_turan(n, [complete_graph(5)])
+    assert (ex.value, ex.nodes) == (M, 2 * M - 1)
+    ar = exact_anti_ramsey(n, complete_graph(5), prune_bound=False)
+    assert ar.nodes == sum(bell(j) for j in range(1, M + 1))
+    assert ar.leaves == bell(M)
+
+
+BUDGET_CASES = [
+    (5, [K3]),
+    (5, [DIAMOND]),
+    (6, [K3, cycle_graph(5)]),
+    (5, [make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])]),
+    (4, [K4]),
+    (4, [path_graph(3)]),
+    (5, [complete_hypergraph(4, 3)]),
+    (3, [single_edge(2)]),
+]
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda n, fam, budget=None: exact_turan(n, fam, budget=budget),
+        lambda n, fam, budget=None: exact_anti_ramsey(n, fam[0], budget=budget),
+    ],
+    ids=["turan", "anti_ramsey"],
+)
+@pytest.mark.parametrize("n, fam", BUDGET_CASES)
+def test_budget_gives_exact_or_feasible_best_so_far(solve, n, fam):
+    # the search is deterministic and a budgeted run is a prefix of the full
+    # run, so a cap of k nodes is exact iff the full run needs at most k
+    full = solve(n, fam)
+    assert full.status == "exact"
+    rng = random.Random(len(fam) * 100 + n)
+    caps = {0, 1, full.nodes - 1, full.nodes, full.nodes + 1}
+    caps |= {rng.randrange(full.nodes + 1) for _ in range(6)}
+    for k in sorted(c for c in caps if c >= 0):
+        rep = solve(n, fam, SearchBudget(max_nodes=k))
+        if k >= full.nodes:
+            assert rep.status == "exact"
+            assert (rep.value, rep.witness, rep.nodes) == (full.value, full.witness, full.nodes)
+            continue
+        assert rep.status == "budget_exhausted" and rep.value is None
+        assert rep.nodes == k + 1
+        # only an anti-Ramsey run stopped before its first leaf has no witness
+        if rep.witness is None:
+            assert rep.instance["problem"] == "anti_ramsey"
+        else:
+            assert verify_feasibility(rep), k
+
+
 @pytest.mark.parametrize(
     "solve, nodes",
     [
-        (lambda: exact_turan(7, [K4]), 5055),
-        (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 5274),
+        (lambda: exact_turan(7, [K4]), 5753),
+        (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 6115),
         (lambda: exact_anti_ramsey(5, K4), 5526),
         (lambda: exact_anti_ramsey(5, cycle_graph(4)), 8241),
         (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 7898),
@@ -264,8 +327,8 @@ def test_budget_exhaustion_on_deep_host():
 )
 def test_node_counts_pinned(solve, nodes):
     # solver node counts are deterministic; a change in how the host is read
-    # must leave them alone, and only a change to pruning or symmetry
-    # breaking may move them
+    # must leave them alone, and only a change to pruning, symmetry breaking
+    # or what counts as a node may move them
     rep = solve()
     assert rep.status == "exact"
     assert rep.nodes == nodes
