@@ -1,9 +1,14 @@
 """Command line front end.
 
 Subcommands mirror the library: construct, color, check, solve, bounds,
-verify-paper.  Every run is a pure function of its argument vector; the only
-ambient input is ARL_DEFAULT_BUDGET ("NODES" or "NODES,SECONDS"), which fills
-in budget flags that were not given explicitly.
+verify-paper.  Each subcommand's action is registered on its parser with
+set_defaults: run= on the top-level commands, build= on the construct kinds
+and solve= on solve ex and ar.  The CLI parses, calls the library and emits
+what formats renders.
+
+Every run is a pure function of its argument vector; the only ambient input
+is ARL_DEFAULT_BUDGET ("NODES" or "NODES,SECONDS"), which fills in budget
+flags that were not given explicitly.
 
 Exit codes: 0 success, 1 verify-paper found a failing check, 2 bad
 arguments or a malformed input file, 3 budget exhausted where an exact
@@ -121,53 +126,69 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("construct", help="build a hypergraph or family")
+    c.set_defaults(run=_cmd_construct)
     csub = c.add_subparsers(dest="what", required=True)
 
     p = csub.add_parser("expansion", help="pad each edge with fresh vertices")
     _add_pattern_flags(p)
     p.add_argument("--r", type=int, required=True)
     _add_io_flags(p)
+    p.set_defaults(build=lambda a: expansion(_single_pattern(a), a.r))
 
     p = csub.add_parser("blowup", help="replace vertices by t-sets")
     _add_pattern_flags(p)
     p.add_argument("--t", type=int, required=True)
     _add_io_flags(p)
+    p.set_defaults(build=lambda a: blowup(_single_pattern(a), a.t))
 
     p = csub.add_parser("split", help="split an independent vertex set")
     _add_pattern_flags(p)
     p.add_argument("--vertices", required=True, help="comma separated, e.g. 0,2")
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
     _add_io_flags(p)
+    p.set_defaults(build=_build_split)
 
     p = csub.add_parser("split-family", help="all splittings up to isomorphism")
     _add_pattern_flags(p)
     p.add_argument("--mode", choices=("weak", "strong"), default="weak")
     _add_io_flags(p)
+    p.set_defaults(build=lambda a: splitting_family(_single_pattern(a), a.mode))
 
     p = csub.add_parser("minus", help="single-edge deletions up to isomorphism")
     _add_pattern_flags(p)
     p.add_argument("--keep-isolated", action="store_true")
     _add_io_flags(p)
+    p.set_defaults(
+        build=lambda a: minus_family(_single_pattern(a), drop_isolated=not a.keep_isolated)
+    )
 
     p = csub.add_parser("pendant-minus", help="k-pendant edge deletions")
     _add_pattern_flags(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--keep-isolated", action="store_true")
     _add_io_flags(p)
+    p.set_defaults(
+        build=lambda a: pendant_minus_family(
+            _single_pattern(a), a.k, drop_isolated=not a.keep_isolated
+        )
+    )
 
     p = csub.add_parser("turan", help="complete multipartite r-graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--r", type=int, default=2)
     _add_io_flags(p)
+    p.set_defaults(build=lambda a: turan_hypergraph(a.n, a.ell, a.r))
 
     p = csub.add_parser("special", help="blowup of K_ell with extra edges")
     p.add_argument("--kind", choices=("alpha", "beta", "gamma", "plus"), required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     _add_io_flags(p)
+    p.set_defaults(build=lambda a: special_blowup_graph(a.kind, a.ell, a.t))
 
     col = sub.add_parser("color", help="build distinguished colorings")
+    col.set_defaults(run=_cmd_color)
     colsub = col.add_subparsers(dest="what", required=True)
     p = colsub.add_parser("layered", help="part-based triple coloring")
     p.add_argument("--n", type=int, required=True)
@@ -175,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
 
     chk = sub.add_parser("check", help="decide properties of given objects")
+    chk.set_defaults(run=_cmd_check)
     chksub = chk.add_subparsers(dest="what", required=True)
     p = chksub.add_parser("rainbow-free", help="is a coloring rainbow-free?")
     p.add_argument("--coloring", required=True, help="coloring file (text or .json)")
@@ -189,19 +211,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
 
     sol = sub.add_parser("solve", help="exact extremal solvers")
+    sol.set_defaults(run=_cmd_solve)
     solsub = sol.add_subparsers(dest="what", required=True)
     p = solsub.add_parser("ex", help="maximum pattern-free edge count")
     p.add_argument("--n", type=int, required=True)
     _add_pattern_flags(p)
     _add_budget_flags(p)
     _add_io_flags(p)
+    p.set_defaults(solve=lambda a, b: exact_turan(a.n, _patterns_from(a), budget=b))
     p = solsub.add_parser("ar", help="least color count forcing a rainbow copy")
     p.add_argument("--n", type=int, required=True)
     _add_pattern_flags(p)
     _add_budget_flags(p)
     _add_io_flags(p)
+    p.set_defaults(solve=lambda a, b: exact_anti_ramsey(a.n, _single_pattern(a), budget=b))
 
     b = sub.add_parser("bounds", help="bound templates at one (n, F)")
+    b.set_defaults(run=_cmd_bounds)
     b.add_argument("--n", type=int, required=True)
     _add_pattern_flags(b)
     b.add_argument("--r", type=int, default=None, help="expand the pattern to this uniformity")
@@ -209,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(b)
 
     v = sub.add_parser("verify-paper", help="run the named check suite")
+    v.set_defaults(run=_cmd_verify)
     _add_budget_flags(v)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.add_argument("--only", default=None, help="run only matching check groups")
@@ -217,42 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _family_payload(fam: Family) -> dict:
-    return {"members": [formats.hypergraph_to_json(m) for m in fam.members]}
-
-
-def _family_text(fam: Family) -> str:
-    parts = [f"{len(fam.members)} members"]
-    for i, m in enumerate(fam.members):
-        parts.append(f"# member {i}")
-        parts.append(formats.hypergraph_to_text(m).rstrip("\n"))
-    return "\n".join(parts) + "\n"
+def _build_split(args) -> Hypergraph:
+    verts = [int(tok) for tok in args.vertices.split(",") if tok.strip() != ""]
+    return split_set(_single_pattern(args), verts, args.mode)
 
 
 def _cmd_construct(args) -> int:
-    if args.what == "turan":
-        built = turan_hypergraph(args.n, args.ell, args.r)
-    elif args.what == "special":
-        built = special_blowup_graph(args.kind, args.ell, args.t)
-    elif args.what == "expansion":
-        built = expansion(_single_pattern(args), args.r)
-    elif args.what == "blowup":
-        built = blowup(_single_pattern(args), args.t)
-    elif args.what == "split":
-        verts = [int(tok) for tok in args.vertices.split(",") if tok.strip() != ""]
-        built = split_set(_single_pattern(args), verts, args.mode)
-    elif args.what == "split-family":
-        built = splitting_family(_single_pattern(args), args.mode)
-    elif args.what == "minus":
-        built = minus_family(_single_pattern(args), drop_isolated=not args.keep_isolated)
-    elif args.what == "pendant-minus":
-        built = pendant_minus_family(
-            _single_pattern(args), args.k, drop_isolated=not args.keep_isolated
-        )
-    else:  # pragma: no cover - argparse guards
-        raise ValueError(args.what)
+    built = args.build(args)
     if isinstance(built, Family):
-        _emit(args, _family_text(built), _family_payload(built))
+        _emit(args, formats.family_to_text(built), formats.family_to_json(built))
     else:
         _emit(args, formats.hypergraph_to_text(built), formats.hypergraph_to_json(built))
     return 0
@@ -269,45 +269,16 @@ def _cmd_check(args) -> int:
     fam = make_family(_patterns_from(args))
     budget = _budget_from(args)
     try:
-        rep = is_rainbow_family_free(
-            chi, fam, limit=budget.max_nodes if budget else None
-        )
+        rep = is_rainbow_family_free(chi, fam, limit=budget.max_nodes if budget else None)
     except BudgetExhausted as exc:
-        _emit(
-            args,
-            f"undecided: {exc}\n",
-            {"free": None, "note": str(exc)},
-        )
+        _emit(args, f"undecided: {exc}\n", {"free": None, "note": str(exc)})
         return 3
-    if rep.free:
-        _emit(args, "rainbow-free: yes\n", {"free": True})
-        return 0
-    w = rep.witness
-    assert w is not None
-    text = ["rainbow-free: no", f"member: {rep.member_index}"]
-    for edge, colr in w.edge_colors:
-        text.append(f"  edge {' '.join(map(str, edge))} color {colr}")
-    payload = {
-        "free": False,
-        "member_index": rep.member_index,
-        "witness": {
-            "images": list(w.embedding.images),
-            "edges": [
-                {"edge": list(edge), "color": colr} for edge, colr in w.edge_colors
-            ],
-        },
-    }
-    _emit(args, "\n".join(text) + "\n", payload)
+    _emit(args, formats.rainbow_free_to_text(rep), formats.rainbow_free_to_json(rep))
     return 0
 
 
 def _cmd_solve(args) -> int:
-    budget = _budget_from(args)
-    if args.what == "ex":
-        fam = make_family(_patterns_from(args))
-        rep = exact_turan(args.n, fam, budget=budget)
-    else:
-        rep = exact_anti_ramsey(args.n, _single_pattern(args), budget=budget)
+    rep = args.solve(args, _budget_from(args))
     _emit(args, formats.report_to_text(rep), formats.report_to_json(rep))
     return 3 if rep.status == "budget_exhausted" else 0
 
@@ -325,43 +296,18 @@ def _cmd_verify(args) -> int:
     if args.only and not rows:
         # a filter that matches nothing is almost certainly a typo
         raise ValueError(f"--only {args.only!r} matches no check group")
-    payload = {
-        "rows": [
-            {
-                "name": r.name,
-                "expected": r.expected,
-                "got": r.got,
-                "verdict": r.verdict,
-                "note": r.note,
-            }
-            for r in rows
-        ]
-    }
-    _emit(args, suite_to_text(rows), payload)
+    _emit(args, suite_to_text(rows), formats.suite_to_json(rows))
     _, nfail, _ = suite_counts(rows)
     return 1 if nfail else 0
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "construct":
-            return _cmd_construct(args)
-        if args.cmd == "color":
-            return _cmd_color(args)
-        if args.cmd == "check":
-            return _cmd_check(args)
-        if args.cmd == "solve":
-            return _cmd_solve(args)
-        if args.cmd == "bounds":
-            return _cmd_bounds(args)
-        if args.cmd == "verify-paper":
-            return _cmd_verify(args)
+        return args.run(args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def main() -> None:

@@ -191,8 +191,7 @@ class RainbowEmbedder:
     def __init__(self, n: int, f: Hypergraph):
         self.n = n
         self.f = f
-        self.verts = list(f.non_isolated)
-        self.order = self._order(self.verts, seed=())
+        self.order = self._order(seed=())
         self.schedule = self._schedule(self.order)
 
     @cached_property
@@ -218,12 +217,12 @@ class RainbowEmbedder:
                     seeds.append(t)
                     seen |= orbit([t], gens, lambda g, s: tuple(g[v] for v in s))
             if seeds:
-                order = self._order(self.verts, seed=fe)
+                order = self._order(seed=fe)
                 plans.append((seeds, order, self._schedule(order)))
         return plans
 
-    def _order(self, verts: Sequence[int], seed: Sequence[int]) -> list[int]:
-        remaining = [v for v in verts if v not in seed]
+    def _order(self, seed: Sequence[int]) -> list[int]:
+        remaining = [v for v in self.f.non_isolated if v not in seed]
         order = list(seed)
         placed = set(seed)
         f = self.f
@@ -268,7 +267,7 @@ class RainbowEmbedder:
         """
         f = self.f
         n = self.n
-        if len(self.verts) > n:
+        if len(f.non_isolated) > n:
             return None, 0
         nodes = 0
         images: list[Optional[int]] = [None] * f.n
@@ -310,32 +309,30 @@ class RainbowEmbedder:
             images[v] = None
             return None
 
-        if f.num_edges == 0:
-            # the empty pattern embeds vacuously, but never through an anchor
-            if anchor is not None:
-                return None, 0
-            return Embedding(tuple(images)), 0
-
+        # the free search is one plan with one empty seed; an anchored seed
+        # completes only its own pattern edge (distinct edges are distinct
+        # r-sets), whose image is the anchor, so its color starts out used
         if anchor is None:
-            hit = dfs(self.order, self.schedule, 0, 0, set())
-            return hit, nodes
-
-        anchor = tuple(sorted(anchor))
-        amask = vertex_mask(anchor)
-        base = color_at(amask)
-        if base is None:
-            return None, 0
-        for seeds, order, sched in self.anchored_plans:
+            anchor, used, used_colors = (), 0, set()
+            plans = [([()], self.order, self.schedule)]
+        else:
+            anchor = tuple(sorted(anchor))
+            used = vertex_mask(anchor)
+            base = color_at(used)
+            if base is None:
+                return None, 0
+            used_colors = {base}
+            plans = self.anchored_plans
+        for seeds, order, sched in plans:
             for seed in seeds:
-                nodes += 1
-                if max_nodes is not None and nodes > max_nodes:
-                    raise BudgetExhausted(nodes)
+                if seed:
+                    nodes += 1
+                    if max_nodes is not None and nodes > max_nodes:
+                        raise BudgetExhausted(nodes)
                 for v, host in zip(seed, anchor):
                     images[v] = host
                     bits[v] = 1 << host
-                # the only edge completed by the seed is its own pattern edge
-                # (distinct edges are distinct r-sets), whose image is the anchor
-                hit = dfs(order, sched, f.r, amask, {base})
+                hit = dfs(order, sched, len(seed), used, used_colors)
                 if hit is not None:
                     return hit, nodes
                 for v in seed:

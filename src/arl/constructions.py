@@ -134,9 +134,24 @@ def split_set(f: Hypergraph, vertices: Iterable[int], mode: str = "weak") -> Hyp
 def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     """All splittings of f over independent sets, one per isomorphism class.
 
-    The empty set contributes f itself.
+    The empty set contributes f itself.  Members are the splits of the
+    lex-first independent set of each class, in lex order of those sets.
+
+    Only one set per core is split, where the core of a set is its vertices
+    whose degree is not 1.  Splitting a degree-1 vertex swaps it for one
+    fresh degree-1 vertex in the same edge, which is an isomorphism, and its
+    degree stays 1 while other vertices are split; both independence notions
+    are closed under subsets.  So split_set(f, S) is isomorphic to
+    split_set(f, core of S).  Isolated vertices stay in the core: splitting
+    one deletes it.  The lex-first set whose split lands in a class has a
+    core no earlier set had (an earlier set with that core would land in the
+    class too), so it is the one set kept for its core, and the members are
+    those the unreduced dedupe would keep, in the same order.
     """
-    splits = (split_set(f, ind, mode) for ind in independent_sets(f, mode))
+    cores: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for ind in independent_sets(f, mode):
+        cores.setdefault(tuple(v for v in ind if f.degrees[v] != 1), ind)
+    splits = (split_set(f, ind, mode) for ind in cores.values())
     return Family(r=f.r, members=distinct_classes(splits))
 
 

@@ -17,11 +17,12 @@ shape is a ValueError naming it.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Callable, Optional
 
 from .bounds import BoundsTable
-from .coloring import Coloring, make_coloring
-from .hypergraph import Hypergraph
+from .coloring import Coloring, RainbowFreeReport, make_coloring
+from .hypergraph import Family, Hypergraph
 from .search import SearchReport
 
 __all__ = [
@@ -29,15 +30,20 @@ __all__ = [
     "hypergraph_from_text",
     "hypergraph_to_json",
     "hypergraph_from_json",
+    "family_to_text",
+    "family_to_json",
     "coloring_to_text",
     "coloring_from_text",
     "coloring_to_json",
     "coloring_from_json",
+    "rainbow_free_to_text",
+    "rainbow_free_to_json",
     "report_to_json",
     "report_from_json",
     "report_to_text",
     "bounds_to_json",
     "bounds_to_text",
+    "suite_to_json",
     "dumps",
 ]
 
@@ -106,6 +112,18 @@ def hypergraph_from_json(d: dict) -> Hypergraph:
     return Hypergraph(n, r, tuple(tuple(e) for e in _json_ints(d, "edges", 2)))
 
 
+def family_to_text(fam: Family) -> str:
+    parts = [f"{len(fam.members)} members"]
+    for i, m in enumerate(fam.members):
+        parts.append(f"# member {i}")
+        parts.append(hypergraph_to_text(m).rstrip("\n"))
+    return "\n".join(parts) + "\n"
+
+
+def family_to_json(fam: Family) -> dict:
+    return {"members": [hypergraph_to_json(m) for m in fam.members]}
+
+
 def coloring_to_text(chi: Coloring) -> str:
     lines = [f"{chi.n} {chi.r} {chi.num_colors}"]
     if chi.colors:
@@ -145,6 +163,28 @@ def coloring_from_json(d: dict) -> Coloring:
     if chi.num_colors != m:
         raise ValueError(f"payload claims {m} colors, ids use {chi.num_colors}")
     return chi
+
+
+def rainbow_free_to_text(rep: RainbowFreeReport) -> str:
+    if rep.free:
+        return "rainbow-free: yes\n"
+    lines = ["rainbow-free: no", f"member: {rep.member_index}"]
+    lines += (f"  edge {' '.join(map(str, e))} color {c}" for e, c in rep.witness.edge_colors)
+    return "\n".join(lines) + "\n"
+
+
+def rainbow_free_to_json(rep: RainbowFreeReport) -> dict:
+    if rep.free:
+        return {"free": True}
+    w = rep.witness
+    return {
+        "free": False,
+        "member_index": rep.member_index,
+        "witness": {
+            "images": list(w.embedding.images),
+            "edges": [{"edge": list(e), "color": c} for e, c in w.edge_colors],
+        },
+    }
 
 
 def _witness_to_json(w: object) -> Optional[dict]:
@@ -223,18 +263,7 @@ def bounds_to_json(table: BoundsTable) -> dict:
         "ar_value": table.ar_value,
         "ar_status": table.ar_status,
         "hard_ok": table.hard_ok,
-        "rows": [
-            {
-                "name": row.name,
-                "lhs": row.lhs,
-                "relation": row.relation,
-                "rhs": row.rhs,
-                "verdict": row.verdict,
-                "hard": row.hard,
-                "note": row.note,
-            }
-            for row in table.rows
-        ],
+        "rows": [asdict(row) for row in table.rows],
     }
 
 
@@ -255,6 +284,11 @@ def bounds_to_text(table: BoundsTable) -> str:
         )
     lines.append(f"hard bounds ok: {'yes' if table.hard_ok else 'NO'}")
     return "\n".join(lines) + "\n"
+
+
+def suite_to_json(rows) -> dict:
+    """verify-paper's check rows (verify.CheckRow), one object each."""
+    return {"rows": [asdict(row) for row in rows]}
 
 
 def dumps(obj: dict) -> str:

@@ -331,12 +331,15 @@ def verify_feasibility(report: SearchReport) -> bool:
     if inst["problem"] == "anti_ramsey":
         chi = report.witness
         if chi is None:
-            # claimed: even one color already forces a rainbow copy
-            if report.value is not None and report.value != 1:
+            # a run stopped before its first leaf claims nothing; an exact one
+            # claims that even one color already forces a rainbow copy
+            if report.status != "exact":
+                return True
+            if report.value != 1:
                 return False
             mono = make_coloring(inst["n"], inst["r"], [0] * comb(inst["n"], inst["r"]))
             if mono.num_colors == 0:
-                return report.value is None or report.value == 1
+                return True
             return any(find_rainbow_copy(mono, p) is not None for p in patterns)
         if not isinstance(chi, Coloring) or chi.n != inst["n"]:
             return False

@@ -1,10 +1,24 @@
 import json
+from dataclasses import fields
 
 import pytest
 
+from arl.bounds import BoundRow
 from arl.cli import run_command
-from arl.formats import coloring_to_text, hypergraph_from_text
+from arl.formats import coloring_to_text, hypergraph_from_json, hypergraph_from_text
 from arl.coloring import layered_coloring
+from arl.verify import CheckRow
+
+CONSTRUCT_KINDS = [
+    ["expansion", "--family", "K3", "--r", "3"],
+    ["blowup", "--family", "P3", "--t", "2"],
+    ["split", "--family", "P3", "--vertices", "0,2"],
+    ["split-family", "--family", "C4"],
+    ["minus", "--family", "K4"],
+    ["pendant-minus", "--family", "P4", "--k", "1"],
+    ["turan", "--n", "6", "--ell", "3"],
+    ["special", "--kind", "alpha", "--ell", "3", "--t", "4"],
+]
 
 
 class TestConstruct:
@@ -39,6 +53,33 @@ class TestConstruct:
         assert run_command(["construct", "split-family", "--family", "K3"]) == 0
         out = capsys.readouterr().out
         assert out.count("# member") == 2
+
+    def test_split_family_json(self, capsys):
+        argv = ["construct", "split-family", "--family", "K3", "--format", "json"]
+        assert run_command(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "members": [
+                {"n": 3, "r": 2, "edges": [[0, 1], [0, 2], [1, 2]]},
+                {"n": 4, "r": 2, "edges": [[0, 1], [0, 2], [1, 3]]},
+            ]
+        }
+
+    @pytest.mark.parametrize("kind", CONSTRUCT_KINDS, ids=lambda argv: argv[0])
+    def test_every_kind_text_and_json_agree(self, kind, capsys):
+        assert run_command(["construct", *kind]) == 0
+        text = capsys.readouterr().out
+        assert run_command(["construct", *kind, "--format", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        if "members" not in d:
+            assert hypergraph_from_text(text) == hypergraph_from_json(d)
+            return
+        head, *blocks = text.split("# member ")
+        assert head == f"{len(d['members'])} members\n"
+        assert len(blocks) == len(d["members"]) > 0
+        for i, (block, m) in enumerate(zip(blocks, d["members"])):
+            index, body = block.split("\n", 1)
+            assert int(index) == i
+            assert hypergraph_from_text(body) == hypergraph_from_json(m)
 
     def test_special_requires_min_t(self, capsys):
         code = run_command(
@@ -175,6 +216,32 @@ class TestColorAndCheck:
         out = capsys.readouterr().out
         assert "rainbow-free: no" in out and "member: 0" in out
 
+    def test_rainbow_free_json(self, tmp_path, capsys):
+        chifile = tmp_path / "chi.txt"
+        chifile.write_text("3 2 3\n0 1 2\n")
+        argv = ["check", "rainbow-free", "--coloring", str(chifile), "--format", "json"]
+        # K4 cannot fit in K_3, so the witness is for member 1
+        assert run_command(argv + ["--family", "K4,K3"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "free": False,
+            "member_index": 1,
+            "witness": {
+                "images": [0, 1, 2],
+                "edges": [
+                    {"edge": [0, 1], "color": 0},
+                    {"edge": [0, 2], "color": 1},
+                    {"edge": [1, 2], "color": 2},
+                ],
+            },
+        }
+        assert run_command(argv + ["--family", "K4"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"free": True}
+        assert run_command(argv + ["--family", "K3", "--budget-nodes", "1"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "free": None,
+            "note": "search budget exhausted after 2 nodes",
+        }
+
     def test_rainbow_free_env_budget(self, tmp_path, capsys, monkeypatch):
         chifile = tmp_path / "chi.txt"
         chifile.write_text("3 2 3\n0 1 2\n")
@@ -204,6 +271,8 @@ class TestBoundsCommand:
         assert code == 0
         d = json.loads(capsys.readouterr().out)
         assert d["ar_value"] == 5 and d["hard_ok"] is True
+        keys = {f.name for f in fields(BoundRow)}
+        assert d["rows"] and all(set(row) == keys for row in d["rows"])
 
     def test_target_too_large_for_host(self, capsys):
         assert run_command(["bounds", "--n", "2", "--family", "K3"]) == 0
@@ -232,6 +301,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "2 passed, 0 failed" in out
         assert out.count("ok ") == 2
+
+    def test_only_k4_exact_json(self, capsys):
+        argv = ["verify-paper", "--only", "k4-exact", "--format", "json"]
+        assert run_command(argv) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 2
+        keys = {f.name for f in fields(CheckRow)}
+        assert all(set(row) == keys and row["verdict"] == "pass" for row in rows)
 
     def test_only_no_match(self, capsys):
         assert run_command(["verify-paper", "--only", "zzz"]) == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arl.canonical import are_isomorphic, canonical_key
+from arl.canonical import are_isomorphic, canonical_key, distinct_classes
 from arl.constructions import (
     blowup,
     complete_graph,
@@ -33,6 +33,7 @@ from arl.hypergraph import (
     make_family,
     make_hypergraph,
 )
+from arl.verify import _small_corpus
 
 K3 = complete_graph(3)
 P3 = path_graph(2)
@@ -142,6 +143,32 @@ class TestSplitting:
         weak = splitting_family(t, "weak")
         strong = splitting_family(t, "strong")
         assert (len(weak), len(strong)) == (3, 2)
+
+    @staticmethod
+    def _unreduced(f, mode):
+        # the plain definition: split every independent set, then dedupe
+        splits = (split_set(f, s, mode) for s in independent_sets(f, mode))
+        return distinct_classes(splits)
+
+    @pytest.mark.parametrize("mode", ["weak", "strong"])
+    def test_one_set_per_core_matches_unreduced(self, mode):
+        # the core rule keeps the same members in the same order; the corpus
+        # adds isolated vertices and degree-1 vertices on low labels, where a
+        # set's core differs from the set
+        corpus = list(_small_corpus()) + [
+            path_graph(3),
+            make_hypergraph(6, 2, [(0, 1), (1, 2), (2, 3)]),
+            make_hypergraph(5, 2, [(1, 3), (3, 4)]),
+            make_hypergraph(6, 3, [(0, 2, 4), (2, 4, 5)]),
+            expansion(complete_graph(4), 3),
+            expansion(cycle_graph(5), 3),
+            expansion(cycle_graph(4), 3),
+        ]
+        for f in corpus:
+            assert splitting_family(f, mode).members == self._unreduced(f, mode), f
+
+    def test_k5_expansion_classes(self):
+        assert len(splitting_family(expansion(complete_graph(5), 3))) == 6
 
 
 class TestDeletionFamilies:

@@ -248,7 +248,7 @@ def test_budget_exhaustion_on_deep_host():
     ar_rep = exact_anti_ramsey(50, K3, budget=budget)
     assert ex_rep.status == ar_rep.status == "budget_exhausted"
     assert ex_rep.value is None and ar_rep.value is None
-    assert verify_feasibility(ex_rep)
+    assert verify_feasibility(ex_rep) and verify_feasibility(ar_rep)
 
 
 def bell(m):
@@ -307,11 +307,11 @@ def test_budget_gives_exact_or_feasible_best_so_far(solve, n, fam):
             continue
         assert rep.status == "budget_exhausted" and rep.value is None
         assert rep.nodes == k + 1
-        # only an anti-Ramsey run stopped before its first leaf has no witness
+        # only an anti-Ramsey run stopped before its first leaf has no witness,
+        # and such a report claims nothing, so it is feasible too
         if rep.witness is None:
             assert rep.instance["problem"] == "anti_ramsey"
-        else:
-            assert verify_feasibility(rep), k
+        assert verify_feasibility(rep), k
 
 
 @pytest.mark.parametrize(
