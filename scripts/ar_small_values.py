@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Tabulate exact anti-Ramsey values for a few small patterns.
 
-Prints ar(n, F) for each pattern over a range of n, with node counts, so
-growth is easy to eyeball against the quadratic lower-bound term:
+Prints a table with one row per pattern and one column per n: the value
+ar(n, F), or '-' where n is below the pattern's uniformity.  Growth is easy
+to eyeball against the quadratic lower-bound term:
 
     python3 scripts/ar_small_values.py --max-n 6 [--budget-nodes N]
 

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Optional
 
@@ -41,7 +42,7 @@ from .constructions import (
 )
 from .hypergraph import Family, Hypergraph, make_family
 from .search import SearchBudget, exact_anti_ramsey, exact_turan
-from .verify import DEFAULT_SEED, suite_counts, suite_to_text, verify_paper_suite
+from .verify import suite_counts, suite_to_text, verify_paper_suite
 
 __all__ = ["main", "run_command"]
 
@@ -237,8 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify-paper", help="run the named check suite")
     v.set_defaults(run=_cmd_verify)
     _add_budget_flags(v)
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--only", default=None, help="run only matching check groups")
+    v.add_argument(
+        "--only",
+        default=None,
+        help="run only the check groups whose key contains this text; keys: "
+        "k4-exact, lower, pendant, turan, layered, split",
+    )
     _add_io_flags(v)
 
     return top
@@ -292,7 +297,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rows = verify_paper_suite(_budget_from(args), seed=args.seed, only=args.only)
+    rows = verify_paper_suite(_budget_from(args), only=args.only)
     if args.only and not rows:
         # a filter that matches nothing is almost certainly a typo
         raise ValueError(f"--only {args.only!r} matches no check group")
@@ -303,11 +308,18 @@ def _cmd_verify(args) -> int:
 
 def run_command(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.run(args)
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # library warnings reach the user as their message alone, not as the
+    # CLI source line that triggered them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.run(args)
+        except (ValueError, FileNotFoundError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -279,6 +279,7 @@ def test_c10_witness_integrity(capsys):
         exact_anti_ramsey(4, K3),
         exact_anti_ramsey(5, CHERRY3),
         exact_anti_ramsey(4, make_hypergraph(2, 2, [(0, 1)])),  # witness None
+        exact_anti_ramsey(5, make_hypergraph(2, 2, [(0, 1)])),  # witness None
     ]
     for i, rep in enumerate(reports):
         if rep.status != "exact" or not verify_feasibility(rep):

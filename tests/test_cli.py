@@ -5,7 +5,13 @@ import pytest
 
 from arl.bounds import BoundRow
 from arl.cli import run_command
-from arl.formats import coloring_to_text, hypergraph_from_json, hypergraph_from_text
+from arl.constructions import special_blowup_graph
+from arl.formats import (
+    coloring_to_text,
+    hypergraph_from_json,
+    hypergraph_from_text,
+    hypergraph_to_text,
+)
 from arl.coloring import layered_coloring
 from arl.verify import CheckRow
 
@@ -87,6 +93,16 @@ class TestConstruct:
         )
         assert code == 2
         assert "t" in capsys.readouterr().err
+
+    def test_library_warning_is_one_line(self, capsys):
+        argv = ["construct", "special", "--kind", "gamma", "--ell", "2", "--t", "2"]
+        assert run_command(argv) == 0
+        out, err = capsys.readouterr()
+        with pytest.warns(UserWarning) as record:
+            h = special_blowup_graph("gamma", 2, 2)
+        assert out == hypergraph_to_text(h)
+        assert err == f"warning: {record[0].message}\n"
+        assert "cli.py" not in err
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "h.txt"
@@ -310,9 +326,11 @@ class TestVerifyCommand:
         keys = {f.name for f in fields(CheckRow)}
         assert all(set(row) == keys and row["verdict"] == "pass" for row in rows)
 
-    def test_only_no_match(self, capsys):
-        assert run_command(["verify-paper", "--only", "zzz"]) == 2
-        assert "zzz" in capsys.readouterr().err
+    # a removed group key is rejected like a typo; c07-c10 test those properties
+    @pytest.mark.parametrize("key", ["zzz", "detector", "merge", "freeness", "witness"])
+    def test_only_no_match(self, key, capsys):
+        assert run_command(["verify-paper", "--only", key]) == 2
+        assert key in capsys.readouterr().err
 
     def test_known_failing_group_returns_1(self, capsys):
         # layered coloring cannot reach the advertised color count at n=4,5;
