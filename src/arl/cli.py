@@ -157,22 +157,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = csub.add_parser("minus", help="single-edge deletions up to isomorphism")
     _add_pattern_flags(p)
-    p.add_argument("--keep-isolated", action="store_true")
     _add_io_flags(p)
-    p.set_defaults(
-        build=lambda a: minus_family(_single_pattern(a), drop_isolated=not a.keep_isolated)
-    )
+    p.set_defaults(build=lambda a: minus_family(_single_pattern(a)))
 
     p = csub.add_parser("pendant-minus", help="k-pendant edge deletions")
     _add_pattern_flags(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--keep-isolated", action="store_true")
     _add_io_flags(p)
-    p.set_defaults(
-        build=lambda a: pendant_minus_family(
-            _single_pattern(a), a.k, drop_isolated=not a.keep_isolated
-        )
-    )
+    p.set_defaults(build=lambda a: pendant_minus_family(_single_pattern(a), a.k))
 
     p = csub.add_parser("turan", help="complete multipartite r-graph")
     p.add_argument("--n", type=int, required=True)
@@ -314,7 +306,7 @@ def run_command(argv: list[str]) -> int:
         warnings.simplefilter("always")
         try:
             code = args.run(args)
-        except (ValueError, FileNotFoundError) as exc:
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2
     for w in caught:

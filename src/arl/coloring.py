@@ -128,26 +128,18 @@ def layered_coloring(n: int, ell: int) -> Coloring:
         raise ValueError(f"need n >= ell >= 2, got n={n}, ell={ell}")
     part = turan_partition(n, ell)
     part_of = part.part_of
-    raw: list[tuple[int, int]] = []  # (kind 0 = part color, 1 = fresh), payload
-    for e in kn_edges(n, 3):
-        counts: dict[int, int] = {}
-        heavy = -1
-        for v in e:
-            p = part_of[v]
-            counts[p] = counts.get(p, 0) + 1
-            if counts[p] >= 2:
-                heavy = p
-        raw.append((0, heavy) if heavy >= 0 else (1, 0))
-    used_parts = sorted({p for kind, p in raw if kind == 0})
-    part_color = {p: i for i, p in enumerate(used_parts)}
-    nxt = len(used_parts)
+    # turan_partition puts larger parts first, so the parts of two or more
+    # vertices, the ones that color a triple, are 0..k-1 and part p takes
+    # color p; transversal triples take k, k+1, ... in colex order
+    fresh = sum(size >= 2 for size in part.sizes)
     colors = []
-    for kind, p in raw:
-        if kind == 0:
-            colors.append(part_color[p])
+    for e in kn_edges(n, 3):
+        a, b, c = (part_of[v] for v in e)
+        if a in (b, c) or b == c:
+            colors.append(b if b == c else a)
         else:
-            colors.append(nxt)
-            nxt += 1
+            colors.append(fresh)
+            fresh += 1
     return make_coloring(n, 3, colors)
 
 

@@ -155,32 +155,27 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     return Family(r=f.r, members=distinct_classes(splits))
 
 
-def _deletion_family(
-    f: Hypergraph, removable: Sequence[tuple[int, ...]], *, drop_isolated: bool
-) -> Family:
+def _deletion_family(f: Hypergraph, removable: Sequence[tuple[int, ...]]) -> Family:
     def delete(e: tuple[int, ...]) -> Hypergraph:
         g = Hypergraph(f.n, f.r, tuple(x for x in f.edges if x != e))
-        if drop_isolated:
-            g = remove_vertices(g, [v for v in range(g.n) if g.degrees[v] == 0])
-        return g
+        return remove_vertices(g, [v for v in range(g.n) if g.degrees[v] == 0])
 
     return Family(r=f.r, members=distinct_classes(map(delete, removable)))
 
 
-def minus_family(f: Hypergraph, *, drop_isolated: bool = True) -> Family:
+def minus_family(f: Hypergraph) -> Family:
     """One member per isomorphism class of f with a single edge deleted.
 
-    Vertices left isolated by the deletion are dropped unless asked otherwise.
+    Vertices left isolated by the deletion are dropped, as ex(n, F_-) ignores
+    them and so does every solver here.
     A graph with no edges yields the empty family; a single-edge graph yields
     the family whose one member is the empty hypergraph.
     """
-    return _deletion_family(f, f.edges, drop_isolated=drop_isolated)
+    return _deletion_family(f, f.edges)
 
 
-def pendant_minus_family(
-    f: Hypergraph, k: int, *, drop_isolated: bool = True
-) -> Family:
-    """Deletions of k-pendant edges only.
+def pendant_minus_family(f: Hypergraph, k: int) -> Family:
+    """Deletions of k-pendant edges only, isolated vertices dropped.
 
     An edge is k-pendant when it owns at least k private vertices, vertices
     no other edge touches.  Defined for 1 <= k < r.  The family is empty when
@@ -193,7 +188,7 @@ def pendant_minus_family(
         private = sum(1 for v in e if f.degrees[v] == 1)
         if private >= k:
             removable.append(e)
-    return _deletion_family(f, removable, drop_isolated=drop_isolated)
+    return _deletion_family(f, removable)
 
 
 @dataclass(frozen=True)

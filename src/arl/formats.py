@@ -95,15 +95,16 @@ def _is_int(v: object) -> bool:
 
 
 def _json_ints(d: dict, name: str, depth: int = 0):
-    """d[name]: an integer (depth 0), a list of them (1) or a list of such
-    lists (2)."""
+    """d[name]: an integer (depth 0), a list of them (1), a list of such
+    lists (2) or a list of those (3)."""
 
     def ok(v: object, k: int = depth) -> bool:
         if k == 0:
             return _is_int(v)
         return isinstance(v, list) and all(ok(x, k - 1) for x in v)
 
-    kinds = ("an integer", "a list of integers", "a list of integer lists")
+    kinds = ("an integer", "a list of integers", "a list of integer lists",
+             "a list of edge lists")
     return _json_field(d, name, kinds[depth], ok)
 
 
@@ -198,7 +199,7 @@ def _witness_to_json(w: object) -> Optional[dict]:
 
 
 def report_to_json(rep: SearchReport) -> dict:
-    out = {
+    return {
         "instance": rep.instance,
         "value": rep.value,
         "status": rep.status,
@@ -206,9 +207,6 @@ def report_to_json(rep: SearchReport) -> dict:
         "nodes": rep.nodes,
         "elapsed_ms": rep.elapsed * 1000.0,
     }
-    if rep.leaves is not None:
-        out["leaves"] = rep.leaves
-    return out
 
 
 def report_from_json(d: dict) -> SearchReport:
@@ -221,6 +219,11 @@ def report_from_json(d: dict) -> SearchReport:
     value = _json_field(d, "value", "an integer or null", lambda v: v is None or _is_int(v))
     elapsed_ms = _json_field(d, "elapsed_ms", "a number",
                              lambda v: _is_int(v) or isinstance(v, float))
+    instance = _json_field(d, "instance", "an object", lambda v: isinstance(v, dict))
+    _json_field(instance, "problem", "'turan' or 'anti_ramsey'",
+                lambda v: v in ("turan", "anti_ramsey"))
+    for name, depth in (("n", 0), ("r", 0), ("patterns", 3)):
+        _json_ints(instance, name, depth)
     return SearchReport(
         value=value,
         witness=w,
@@ -228,8 +231,7 @@ def report_from_json(d: dict) -> SearchReport:
         elapsed=elapsed_ms / 1000.0,
         status=_json_field(d, "status", "'exact' or 'budget_exhausted'",
                            lambda v: v in ("exact", "budget_exhausted")),
-        instance=_json_field(d, "instance", "an object", lambda v: isinstance(v, dict)),
-        leaves=_json_ints(d, "leaves") if "leaves" in d else None,
+        instance=instance,
     )
 
 
@@ -241,8 +243,6 @@ def report_to_text(rep: SearchReport) -> str:
         f"value:   {rep.value if rep.value is not None else 'unknown'}",
         f"nodes:   {rep.nodes}   elapsed: {rep.elapsed:.3f}s",
     ]
-    if rep.leaves is not None:
-        lines.append(f"leaves:  {rep.leaves}")
     if isinstance(rep.witness, Hypergraph):
         lines.append("witness hypergraph:")
         lines.append(hypergraph_to_text(rep.witness).rstrip("\n"))

@@ -82,7 +82,6 @@ class SearchReport:
     elapsed: float
     status: str
     instance: dict
-    leaves: Optional[int] = None
 
 
 def _coerce_family(patterns: Union[Hypergraph, Family, Iterable[Hypergraph]]) -> Family:
@@ -135,7 +134,10 @@ def _branch_and_bound(
     color is vetoed when some matcher's anchored find completes a rainbow
     copy through edge j.  A node is one value tried on one edge.  With
     prune_bound, a value that fits gets no subtree when a fresh color on
-    every later edge could not beat the best leaf.
+    every later edge could not beat the best leaf.  Both solvers pass True.
+    False exists for differential tests: with the anti-Ramsey values and no
+    veto, the node count is then the sum of Bell(j) over 1 <= j <= len(edges).
+    It is the one off switch for every cut this loop carries.
 
     Stack invariant: an entry (j, top, i) tries value i of choices(top) on
     edge j, and i == len(choices(top)) leaves edge j.  The entry for i + 1
@@ -171,13 +173,11 @@ def _branch_and_bound(
     nodes = 0
     best = -1
     best_values: Optional[tuple[Optional[int], ...]] = None
-    leaves = 0
     stack = [(0, 0, 0)]
     status = "exact"
     while stack:
         j, top, i = stack.pop()
         if j == M:
-            leaves += 1
             if top > best:
                 best = top
                 best_values = tuple(map(get, masks))
@@ -217,7 +217,6 @@ def _branch_and_bound(
         elapsed=time.monotonic() - start,
         status=status,
         instance={},
-        leaves=leaves,
     )
 
 
@@ -256,7 +255,6 @@ def exact_turan(
         rep,
         witness=make_hypergraph(n, r, chosen),
         instance=instance,
-        leaves=None,
     )
 
 
@@ -265,7 +263,6 @@ def exact_anti_ramsey(
     pattern: Hypergraph,
     *,
     budget: Optional[SearchBudget] = None,
-    prune_bound: bool = True,
 ) -> SearchReport:
     """Smallest color count forcing a rainbow copy of the pattern in K_n^r.
 
@@ -275,12 +272,6 @@ def exact_anti_ramsey(
     its newest edge.  The answer is one more than the largest color count of
     a rainbow-free coloring; when no coloring at all is rainbow-free (single
     edge patterns) the answer is 1 and the witness is None.
-
-    prune_bound=False disables the color-count bound so every rainbow-free
-    partition becomes a leaf, and the report carries the leaf count: an
-    independent Bell-number cross-check on the enumeration when the pattern
-    cannot embed at all.  With the bound on, the count would depend on the
-    pruning, so it is not reported.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -292,17 +283,15 @@ def exact_anti_ramsey(
         "n": n,
         "r": r,
         "patterns": _edges_payload(make_family([pattern])),
-        "prune_bound": prune_bound,
     }
     rep = _branch_and_bound(
-        n, r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), budget, prune_bound
+        n, r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), budget, True
     )
     return replace(
         rep,
         value=None if rep.value is None else max(rep.value, 0) + 1,
         witness=None if rep.witness is None else make_coloring(n, r, rep.witness),
         instance=instance,
-        leaves=None if prune_bound else rep.leaves,
     )
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,20 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert run_command(["solve", "ex", "--n", "5", "--in", "/nope.txt"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "rainbow-free", "--coloring", "{dir}", "--family", "K3"],
+            ["solve", "ex", "--n", "5", "--in", "{dir}"],
+            ["construct", "turan", "--n", "4", "--ell", "2", "--out", "{dir}"],
+        ],
+        ids=["coloring", "in", "out"],
+    )
+    def test_directory_path_is_usage_error(self, tmp_path, capsys, argv):
+        # an OS error on a path exits 2, not 1, the code of a failing check
+        assert run_command([a.format(dir=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "payload, message",
@@ -347,3 +365,18 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             run_command([])
+
+
+def test_library_import_skips_cli_modules():
+    # `import arl` stays cheap: the output and CLI modules, and the json and
+    # argparse they pull in, load only when asked for
+    probe = (
+        "import sys, arl; "
+        "print(sorted(m for m in ('arl.formats', 'arl.cli', 'json', 'argparse')"
+        " if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

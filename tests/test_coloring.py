@@ -108,6 +108,21 @@ class TestLayered:
         with pytest.raises(ValueError):
             layered_coloring(3, 4)
 
+    @pytest.mark.parametrize(
+        "n, ell, colors",
+        [
+            (7, 3, (0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 3, 4, 5, 6, 7, 8, 1,
+                    0, 0, 0, 9, 10, 11, 12, 13, 14, 1, 2, 2, 2, 2, 2)),
+            (5, 3, (0, 0, 1, 1, 0, 2, 3, 4, 5, 1)),
+            (4, 3, (0, 0, 1, 2)),
+            (5, 5, tuple(range(10))),
+        ],
+    )
+    def test_colors_pinned(self, n, ell, colors):
+        # parts with two or more vertices keep their index as color; the
+        # transversal triples follow in colex order
+        assert layered_coloring(n, ell).colors == colors
+
 
 class TestFindRainbow:
     def test_min_endpoint_blocks_triangles(self):

@@ -186,9 +186,12 @@ class TestDeletionFamilies:
         assert len(fam) == 1
         assert fam.members[0].num_edges == 0 and fam.members[0].n == 0
 
-    def test_minus_keep_isolated(self):
-        fam = minus_family(K3, drop_isolated=False)
-        assert all(m.n == 3 for m in fam.members)
+    def test_minus_drops_isolated(self):
+        # deleting an end edge of P4 isolates a vertex, which goes; deleting
+        # the middle edge leaves 2K2 on all four vertices
+        fam = minus_family(path_graph(3))
+        assert sorted(m.n for m in fam.members) == [3, 4]
+        assert all(0 not in m.degrees for m in fam.members)
 
     def test_pendant_path(self):
         fam = pendant_minus_family(P3, 1)

@@ -11,7 +11,7 @@ from arl.bounds import bound_report
 from arl.coloring import make_coloring
 from arl.constructions import complete_graph, turan_hypergraph
 from arl.hypergraph import kn_edges, make_hypergraph
-from arl.search import exact_anti_ramsey, exact_turan
+from arl.search import exact_anti_ramsey, exact_turan, verify_feasibility
 
 
 def random_hypergraph(rng):
@@ -190,11 +190,17 @@ class TestReportRoundTrip:
             back = formats.report_from_json(formats.report_to_json(rep))
             assert back.witness == rep.witness and back.value == rep.value
 
-    def test_leaves_preserved(self):
-        rep = exact_anti_ramsey(3, complete_graph(4), prune_bound=False)
+    def test_report_with_retired_keys_loads(self):
+        # reports once carried a top-level "leaves" and instance.prune_bound;
+        # keys a reader does not know are ignored
+        rep = exact_anti_ramsey(4, complete_graph(3))
         d = formats.report_to_json(rep)
-        assert d["leaves"] == rep.leaves == 5  # Bell(3)
-        assert formats.report_from_json(d).leaves == rep.leaves
+        assert "leaves" not in d and "prune_bound" not in d["instance"]
+        d["leaves"] = 5
+        d["instance"]["prune_bound"] = False
+        back = formats.report_from_json(d)
+        assert back.value == rep.value and back.witness == rep.witness
+        assert verify_feasibility(back)
 
     def test_text_rendering_mentions_value(self):
         rep = exact_turan(5, [complete_graph(3)])
@@ -226,14 +232,20 @@ class TestReportRoundTrip:
             (lambda d: d.update(status="done"), "'status'"),
             (lambda d: d.update(instance=[]), "'instance'"),
             (lambda d: d.update(witness=[]), "'witness'"),
-            (lambda d: d.update(leaves="5"), "'leaves'"),
             (lambda d: d["witness"].pop("edges"), "'edges'"),
+            (lambda d: d.update(instance={}), "'problem'"),
+            (lambda d: d["instance"].update(problem="ramsey"), "'problem'"),
+            (lambda d: d["instance"].pop("n"), "'n'"),
+            (lambda d: d["instance"].update(r="2"), "'r'"),
+            (lambda d: d["instance"].update(patterns="K3"), "'patterns'"),
+            (lambda d: d["instance"].update(patterns=[[0, 1]]), "'patterns'"),
         ],
         ids=[
             "no-elapsed", "no-nodes", "no-status", "no-value", "no-instance",
             "no-witness", "no-kind", "nodes-str", "nodes-bool", "value-float",
             "elapsed-str", "status-unknown", "instance-list", "witness-list",
-            "leaves-str", "witness-no-edges",
+            "witness-no-edges", "instance-empty", "problem-unknown", "no-n",
+            "r-str", "patterns-str", "patterns-flat",
         ],
     )
     def test_json_bad_field_named(self, edit, field):
@@ -243,10 +255,9 @@ class TestReportRoundTrip:
             formats.report_from_json(d)
 
     def test_optional_fields(self):
-        # leaves may be absent, and the witness and value may be null
+        # the witness and value may be null
         rep = exact_turan(4, [complete_graph(3)])
         d = formats.report_to_json(rep)
-        assert "leaves" not in d and formats.report_from_json(d).leaves is None
         d.update(value=None, witness=None, status="budget_exhausted", elapsed_ms=3)
         back = formats.report_from_json(d)
         assert back.value is None and back.witness is None

@@ -17,6 +17,7 @@ from arl.coloring import RainbowEmbedder, find_rainbow_copy
 from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph
 from arl.search import (
     SearchBudget,
+    _branch_and_bound,
     _drop_redundant,
     exact_anti_ramsey,
     exact_turan,
@@ -27,6 +28,14 @@ from helpers import brute_ar, brute_ex, set_partitions
 K3 = complete_graph(3)
 K4 = complete_graph(4)
 DIAMOND = make_hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+def unbounded_ar(n, pattern):
+    """The anti-Ramsey loop with the color-count bound off: its value is the
+    largest rainbow-free color count, one less than ar."""
+    return _branch_and_bound(
+        n, pattern.r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), None, False
+    )
 
 
 def random_pattern(rng, r, max_v=5):
@@ -203,21 +212,10 @@ class TestExactAntiRamsey:
             assert verify_feasibility(rep)
 
     def test_prune_toggle_agrees(self):
-        a = exact_anti_ramsey(4, K3, prune_bound=False)
+        a = unbounded_ar(4, K3)
         b = exact_anti_ramsey(4, K3)
-        assert a.value == b.value
+        assert a.value + 1 == b.value
         assert b.nodes <= a.nodes
-
-    def test_leaves_reported_only_without_bound(self):
-        assert exact_anti_ramsey(4, K3).leaves is None
-        assert exact_anti_ramsey(4, K3, prune_bound=False).leaves is not None
-
-    def test_leaf_count_is_bell(self):
-        # with pattern too big to embed and pruning off, leaves = set partitions
-        big = complete_graph(5)
-        rep = exact_anti_ramsey(4, big, prune_bound=False)
-        assert rep.leaves == 203  # Bell(6)
-        assert rep.value == comb(4, 2) + 1
 
     def test_budget_exhaustion(self):
         rep = exact_anti_ramsey(5, K4, budget=SearchBudget(max_nodes=100))
@@ -261,13 +259,14 @@ def test_node_is_one_value_tried(n):
     # node.  ex: edge 0 keeps its first value, every later edge tries both,
     # and the bound cuts every "left out" child, leaving one node per value
     # on the greedy path.  ar without the bound: every restricted growth
-    # string prefix of length j is one node.
+    # string prefix of length j is one node, so the Bell(M) partitions of the
+    # edge set are the nodes at the last edge.
     M = comb(n, 2)
     ex = exact_turan(n, [complete_graph(5)])
     assert (ex.value, ex.nodes) == (M, 2 * M - 1)
-    ar = exact_anti_ramsey(n, complete_graph(5), prune_bound=False)
-    assert ar.nodes == sum(bell(j) for j in range(1, M + 1))
-    assert ar.leaves == bell(M)
+    ar = unbounded_ar(n, complete_graph(5))
+    assert (ar.value, ar.nodes) == (M, sum(bell(j) for j in range(1, M + 1)))
+    assert exact_anti_ramsey(n, complete_graph(5)).value == M + 1
 
 
 BUDGET_CASES = [
