@@ -217,6 +217,15 @@ class TestExactAntiRamsey:
         assert a.value + 1 == b.value
         assert b.nodes <= a.nodes
 
+    def test_leaf_count_is_bell(self):
+        # with pattern too big to embed and the bound off, the nodes above the
+        # last edge are the Bell(j) partitions of the shorter prefixes, so the
+        # rest, the leaves, are the set partitions of all 6 edges
+        big = complete_graph(5)
+        rep = unbounded_ar(4, big)
+        assert rep.nodes - sum(bell(j) for j in range(1, 6)) == 203  # Bell(6)
+        assert rep.value + 1 == exact_anti_ramsey(4, big).value == comb(4, 2) + 1
+
     def test_budget_exhaustion(self):
         rep = exact_anti_ramsey(5, K4, budget=SearchBudget(max_nodes=100))
         assert rep.status == "budget_exhausted" and rep.value is None
