@@ -3,7 +3,9 @@
 
 Runs ex(8,K3), ex(8,K4), ar(5,K4), ar(6,K3) and ar(6,K4), each three times
 under a 60 s budget, and records per instance the value, status, solver
-nodes and the median wall time:
+nodes and the median wall time.  It also records src_lines, the line count
+of the library's *.py files, so code size is tracked next to the timings.
+Run it as:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label>
 
@@ -18,7 +20,9 @@ import os
 import platform
 import statistics
 import time
+from pathlib import Path
 
+import arl
 from arl.constructions import complete_graph
 from arl.search import SearchBudget, exact_anti_ramsey, exact_turan
 
@@ -32,6 +36,11 @@ LADDER = [
 ]
 REPEATS = 3
 MAX_SECONDS = 60.0
+
+
+def src_lines() -> int:
+    """Newlines in the *.py files beside arl.__file__, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(arl.__file__).parent.glob("*.py"))
 
 
 def main() -> int:
@@ -64,6 +73,7 @@ def main() -> int:
         "repeats": REPEATS,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
+        "src_lines": src_lines(),
         "instances": rows,
     }
     path = f"BENCH_{args.label}.json"

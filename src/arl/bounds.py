@@ -28,7 +28,6 @@ from typing import Optional, Union
 
 from .constructions import (
     expansion,
-    expansion_family,
     minus_family,
     pendant_minus_family,
     splitting_family,
@@ -142,23 +141,25 @@ def bound_report(
     misfit = "" if fits else f"target does not fit: {need} vertices > n"
 
     # universal lower bound through single-edge deletions
-    exm, note = _ex(n, minus_family(target), budget)
+    minus = minus_family(target)
+    exm, note = _ex(n, minus, budget)
     rhs = None if exm is None else exm + 2
     rows.append(
         _compare(ar, ">=", rhs, hard=fits, name="lower-minus", note=note, misfit=misfit)
     )
 
-    # expansion upper bound, only meaningful for genuine expansions
+    # expansion upper bound, only meaningful for genuine expansions; the
+    # expansions of the base's deletions are the target's deletions, member
+    # for member, so their ex is the lower row's
     if target is not base and base.r >= 2:
-        ex1, n1 = _ex(n, expansion_family(minus_family(base), r), budget)
         ex2, n2 = _ex(n, splitting_family(base), budget)
-        if ex1 is None or ex2 is None:
+        if exm is None or ex2 is None:
             rows.append(
                 _compare(ar, "<=", None, hard=False, name="upper-expansion",
-                         note=n1 or n2)
+                         note=note or n2)
             )
         else:
-            rhs = ex1 + (base.num_edges - 1) * ex2 + 1
+            rhs = exm + (base.num_edges - 1) * ex2 + 1
             rows.append(_compare(ar, "<=", rhs, hard=False, name="upper-expansion"))
 
     # pendant deletion upper bounds, one per k
@@ -166,6 +167,8 @@ def bound_report(
         fam = pendant_minus_family(target, k)
         if len(fam) == 0:
             exk, notek = comb(n, target.r), "no k-pendant deletion; ex is vacuous"
+        elif fam.members == minus.members:
+            exk, notek = exm, note
         else:
             exk, notek = _ex(n, fam, budget)
         rhs = None if exk is None else exk + (target.num_edges - 1) * comb(n, k)

@@ -7,8 +7,9 @@ and solve= on solve ex and ar.  The CLI parses, calls the library and emits
 what formats renders.
 
 Every run is a pure function of its argument vector; the only ambient input
-is ARL_DEFAULT_BUDGET ("NODES" or "NODES,SECONDS"), which fills in budget
-flags that were not given explicitly.
+is ARL_DEFAULT_BUDGET ("NODES" or "NODES,SECONDS"), the budget of a run that
+gives neither --budget-nodes nor --budget-secs.  Either flag alone sets the
+whole budget and the variable is not read.
 
 Exit codes: 0 success, 1 verify-paper found a failing check, 2 bad
 arguments or a malformed input file, 3 budget exhausted where an exact

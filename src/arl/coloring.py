@@ -392,12 +392,5 @@ def merge_colors(chi: Coloring, a: int, b: int) -> Coloring:
         raise ValueError(f"color ids must lie in 0..{m - 1}")
     if a == b:
         raise ValueError("merge needs two distinct color ids")
-    remap = {}
-    nxt = 0
-    for c in range(m):
-        if c == b:
-            continue
-        remap[c] = nxt
-        nxt += 1
-    remap[b] = remap[a]
-    return make_coloring(chi.n, chi.r, (remap[c] for c in chi.colors))
+    merged = (a if c == b else c for c in chi.colors)
+    return make_coloring(chi.n, chi.r, (c - (c > b) for c in merged))

@@ -230,10 +230,7 @@ def turan_hypergraph(n: int, ell: int, r: int) -> Hypergraph:
     part = turan_partition(n, ell)
     edges = []
     for chosen in itertools.combinations(range(ell), r):
-        pools = [part.parts[i] for i in chosen]
-        if any(not p for p in pools):
-            continue
-        edges.extend(itertools.product(*pools))
+        edges.extend(itertools.product(*(part.parts[i] for i in chosen)))
     return make_hypergraph(n, r, edges)
 
 

@@ -8,12 +8,14 @@ Two solvers share the same report shape:
                       of a pattern in K_n^r, computed as one plus the largest
                       color count of a rainbow-free coloring.
 
-Both run one depth-first loop, _branch_and_bound, over the colex edge list.
-They differ only in the values an edge may take, given the number top of
+Both are one call into _solve, the one path from patterns to a report: it
+checks the input, builds the matchers, runs the one depth-first loop,
+_branch_and_bound, over the colex edge list and shapes the witness.  The
+solvers differ only in the values an edge may take, given the number top of
 colors used on earlier edges: exact_turan tries (top, None), a fresh color
-and then "left out", so distinct edges get distinct colors and a rainbow copy
-is a copy; exact_anti_ramsey tries range(top + 1), the restricted growth
-strings.  A color is vetoed by a check anchored at the newest edge, so a
+and then "left out", so distinct edges get distinct colors and a rainbow
+copy is a copy; exact_anti_ramsey tries range(top + 1), the restricted
+growth strings.  A color is vetoed by a check anchored at the newest edge, so a
 feasible prefix is never re-tested against old edges.  A node is one value
 tried on one edge.  The loop keeps an explicit stack, so host size is not
 capped by the interpreter's recursion limit.
@@ -92,10 +94,6 @@ def _coerce_family(patterns: Union[Hypergraph, Family, Iterable[Hypergraph]]) ->
     return make_family(list(patterns))
 
 
-def _edges_payload(fam: Family) -> list:
-    return [[list(e) for e in m.edges] for m in fam.members]
-
-
 def _drop_redundant(fam: Family) -> list[Hypergraph]:
     """Keep only members minimal under the subgraph order.
 
@@ -157,7 +155,7 @@ def _branch_and_bound(
 
     The report's value is the best leaf's color count (None unless exact)
     and its witness that leaf's values in colex order (None if no leaf was
-    reached); the callers shape both and fill in the instance.
+    reached); _solve shapes both and fills in the instance.
     """
     edges = kn_edges(n, r)
     M = len(edges)
@@ -220,6 +218,39 @@ def _branch_and_bound(
     )
 
 
+def _solve(
+    problem: str, n: int, family: Family, budget: Optional[SearchBudget]
+) -> SearchReport:
+    """Run one solver: the one path from patterns to a report.
+
+    Checks the input, builds one anchored matcher per member _drop_redundant
+    keeps, fewest edges first, and runs _branch_and_bound with the problem's
+    values: (top, None) for "turan", range(top + 1) for "anti_ramsey".  A
+    turan leaf becomes the Hypergraph of its chosen edges; an anti_ramsey
+    leaf becomes a Coloring, and the value is one more than its color count.
+    """
+    turan = problem == "turan"
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if any(m.num_edges == 0 for m in family.members):
+        where = "contained in every graph" if turan else "rainbow in every coloring"
+        raise ValueError(f"an edgeless pattern is {where}")
+    r = family.r
+    matchers = [RainbowEmbedder(n, m) for m in _drop_redundant(family)]
+    matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
+    choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
+    rep = _branch_and_bound(n, r, matchers, choices, budget, True)
+    if turan:
+        chosen = [e for e, c in zip(kn_edges(n, r), rep.witness or ()) if c is not None]
+        value, witness = rep.value, make_hypergraph(n, r, chosen)
+    else:
+        value = None if rep.value is None else max(rep.value, 0) + 1
+        witness = None if rep.witness is None else make_coloring(n, r, rep.witness)
+    patterns = [[list(e) for e in m.edges] for m in family.members]
+    instance = {"problem": problem, "n": n, "r": r, "patterns": patterns}
+    return replace(rep, value=value, witness=witness, instance=instance)
+
+
 def exact_turan(
     n: int,
     patterns: Union[Hypergraph, Family, Iterable[Hypergraph]],
@@ -234,28 +265,7 @@ def exact_turan(
     edge is vetoed when it completes a copy of a forbidden pattern.  Edge 0
     is in every leaf once it can be included (see _branch_and_bound).
     """
-    fam = _coerce_family(patterns)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    for m in fam.members:
-        if m.num_edges == 0:
-            raise ValueError("an edgeless pattern is contained in every graph")
-    r = fam.r
-    instance = {
-        "problem": "turan",
-        "n": n,
-        "r": r,
-        "patterns": _edges_payload(fam),
-    }
-    matchers = [RainbowEmbedder(n, m) for m in _drop_redundant(fam)]
-    matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
-    rep = _branch_and_bound(n, r, matchers, lambda top: (top, None), budget, True)
-    chosen = [e for e, c in zip(kn_edges(n, r), rep.witness or ()) if c is not None]
-    return replace(
-        rep,
-        witness=make_hypergraph(n, r, chosen),
-        instance=instance,
-    )
+    return _solve("turan", n, _coerce_family(patterns), budget)
 
 
 def exact_anti_ramsey(
@@ -273,26 +283,7 @@ def exact_anti_ramsey(
     a rainbow-free coloring; when no coloring at all is rainbow-free (single
     edge patterns) the answer is 1 and the witness is None.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if pattern.num_edges == 0:
-        raise ValueError("an edgeless pattern is rainbow in every coloring")
-    r = pattern.r
-    instance = {
-        "problem": "anti_ramsey",
-        "n": n,
-        "r": r,
-        "patterns": _edges_payload(make_family([pattern])),
-    }
-    rep = _branch_and_bound(
-        n, r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), budget, True
-    )
-    return replace(
-        rep,
-        value=None if rep.value is None else max(rep.value, 0) + 1,
-        witness=None if rep.witness is None else make_coloring(n, r, rep.witness),
-        instance=instance,
-    )
+    return _solve("anti_ramsey", n, make_family([pattern]), budget)
 
 
 def verify_feasibility(report: SearchReport) -> bool:

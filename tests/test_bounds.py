@@ -2,9 +2,10 @@ from math import comb
 
 import pytest
 
+import arl.bounds
 from arl.bounds import bound_report
 from arl.constructions import complete_graph, path_graph, single_edge
-from arl.search import SearchBudget
+from arl.search import SearchBudget, exact_turan
 
 K3 = complete_graph(3)
 
@@ -45,6 +46,19 @@ class TestExpandedPathTable:
         assert rows["upper-pendant-k1"].rhs == 6
         assert rows["upper-pendant-k2"].rhs == 15
         assert t.hard_ok
+
+    def test_each_deletion_family_solved_once(self, monkeypatch):
+        # the lower, expansion and both pendant rows share ex(6, F_-); the
+        # splitting family is the only other ex
+        calls = []
+
+        def counting(n, patterns, **kw):
+            calls.append(patterns)
+            return exact_turan(n, patterns, **kw)
+
+        monkeypatch.setattr(arl.bounds, "exact_turan", counting)
+        bound_report(6, path_graph(2), r=3)
+        assert len(calls) == 2
 
     def test_target_uniformity(self):
         assert bound_report(6, path_graph(2), r=3).target.r == 3

@@ -164,6 +164,10 @@ class TestSolve:
         assert run_command(["solve", "ex", "--n", "5", "--family", "Q7"]) == 2
         assert "Q7" in capsys.readouterr().err
 
+    def test_negative_n_is_usage_error(self, capsys):
+        assert run_command(["solve", "ex", "--n", "-1", "--family", "K3"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert run_command(["solve", "ex", "--n", "5", "--in", "/nope.txt"]) == 2
 

@@ -68,6 +68,13 @@ class TestExpansion:
         fam = expansion_family(make_family([K3, P3]), 3)
         assert fam.r == 3 and len(fam) == 2
 
+    def test_expanded_deletions_are_deletions_of_expansion(self):
+        # bound_report reuses ex(n, F_-) for the expansion row on this identity
+        for f in _small_corpus():
+            for r in (f.r + 1, f.r + 2):
+                want = minus_family(expansion(f, r)).members
+                assert expansion_family(minus_family(f), r).members == want
+
 
 class TestBlowup:
     def test_edge_count(self):

@@ -163,6 +163,10 @@ class TestExactTuran:
         with pytest.raises(ValueError):
             exact_turan(4, [make_hypergraph(3, 2, [])])
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact_turan(-1, [K3])
+
     def test_uniformity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             exact_turan(4, [K3, single_edge(3)])
@@ -239,6 +243,10 @@ class TestExactAntiRamsey:
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
             exact_anti_ramsey(4, make_hypergraph(3, 2, []))
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact_anti_ramsey(-1, K3)
 
     def test_trivial_host(self):
         # K_2^2 has one edge; coloring it anything is surjective with 1 color
