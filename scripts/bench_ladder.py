@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time the exact-solve ladder and write BENCH_<label>.json.
 
-Runs ex(8,K3), ex(8,K4), ar(5,K4), ar(6,K3) and ar(6,K4), each three times
-under a 60 s budget, and records per instance the value, status, solver
-nodes and the median wall time.  It also records src_lines, the line count
-of the library's *.py files, so code size is tracked next to the timings.
+Runs ex(8,K3), ex(8,K4), ex(8,C4), ex(7,K4^3), ar(5,K4), ar(6,K3) and
+ar(6,K4), each three times under a 60 s budget, and records per instance
+the value, status, solver nodes (summed over the rungs of the climb) and
+the median wall time.  It also records src_lines, the line count of the
+library's *.py files, so code size is tracked next to the timings.
 Run it as:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label>
@@ -23,13 +24,16 @@ import time
 from pathlib import Path
 
 import arl
-from arl.constructions import complete_graph
+from arl.constructions import complete_graph, complete_hypergraph, cycle_graph
 from arl.search import SearchBudget, exact_anti_ramsey, exact_turan
 
-K3, K4 = complete_graph(3), complete_graph(4)
+K3, K4, C4 = complete_graph(3), complete_graph(4), cycle_graph(4)
+K4_3 = complete_hypergraph(4, 3)
 LADDER = [
     ("ex(8,K3)", lambda b: exact_turan(8, [K3], budget=b)),
     ("ex(8,K4)", lambda b: exact_turan(8, [K4], budget=b)),
+    ("ex(8,C4)", lambda b: exact_turan(8, [C4], budget=b)),
+    ("ex(7,K4^3)", lambda b: exact_turan(7, [K4_3], budget=b)),
     ("ar(5,K4)", lambda b: exact_anti_ramsey(5, K4, budget=b)),
     ("ar(6,K3)", lambda b: exact_anti_ramsey(6, K3, budget=b)),
     ("ar(6,K4)", lambda b: exact_anti_ramsey(6, K4, budget=b)),
@@ -64,7 +68,7 @@ def main() -> int:
             "wall_s_runs": walls,
             "nodes_runs": [rep.nodes for rep in reports],
         }
-        print(f"{name:<10} value={reports[0].value} status={reports[0].status} "
+        print(f"{name:<11} value={reports[0].value} status={reports[0].status} "
               f"nodes={reports[0].nodes} wall_s={statistics.median(walls):.2f}", flush=True)
 
     out = {

@@ -9,25 +9,30 @@ Two solvers share the same report shape:
                       color count of a rainbow-free coloring.
 
 Both are one call into _solve, the one path from patterns to a report: it
-checks the input, builds the matchers, runs the one depth-first loop,
-_branch_and_bound, over the colex edge list and shapes the witness.  The
-solvers differ only in the values an edge may take, given the number top of
-colors used on earlier edges: exact_turan tries (top, None), a fresh color
-and then "left out", so distinct edges get distinct colors and a rainbow
-copy is a copy; exact_anti_ramsey tries range(top + 1), the restricted
-growth strings.  A color is vetoed by a check anchored at the newest edge, so a
-feasible prefix is never re-tested against old edges.  A node is one value
-tried on one edge.  The loop keeps an explicit stack, so host size is not
-capped by the interpreter's recursion limit.
-Budgets cap nodes and wall time; a tripped budget yields an honest
-"budget_exhausted" report instead of an unproven value.
+checks the input, builds the matchers, climbs the ladder of hosts K_k^r for
+k = r..n and shapes the witness.  Each rung runs the one depth-first loop,
+_branch_and_bound, over the colex edge list, and the value of rung k - 1
+cuts rung k: deleting a vertex from a leaf on k vertices leaves a leaf on
+k - 1.  Nearly all of a solve proves that its best leaf is optimal, so this
+upper bound is where the climb pays.  The solvers differ only in the values
+an edge may take, given the number top of colors used on earlier edges:
+exact_turan tries (top, None), a fresh color and then "left out", so
+distinct edges get distinct colors and a rainbow copy is a copy;
+exact_anti_ramsey tries range(top + 1), the restricted growth strings.  A
+color is vetoed by a check anchored at the newest edge, so a feasible prefix
+is never re-tested against old edges.  A node is one value tried on one
+edge.  The loop keeps an explicit stack, so host size is not capped by the
+interpreter's recursion limit.
+Budgets cap nodes and wall time over the whole climb; a tripped budget
+yields an honest "budget_exhausted" report instead of an unproven value.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .coloring import (
@@ -55,7 +60,7 @@ __all__ = [
     "verify_feasibility",
 ]
 
-_TIME_CHECK_MASK = 0x3FF  # look at the clock every 1024 nodes
+_TIME_CHECK_MASK = 0x3FF  # look at the clock on node 1 and every 1024 nodes after
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,10 @@ class SearchReport:
 
     status "exact" certifies value and witness; "budget_exhausted" leaves
     value None and carries the best feasible witness found so far, if any.
+    nodes and elapsed cover every rung of the climb.  instance names the
+    problem, n, r and patterns, and as "below" the value on n - 1 vertices
+    that rung n leaned on (edges, or the largest rainbow-free color count,
+    -1 when there is none), or None.
     """
 
     value: Optional[int]
@@ -116,6 +125,13 @@ def _drop_redundant(fam: Family) -> list[Hypergraph]:
     return keep
 
 
+def _bump(cnt: list[int], mask: int, d: int) -> None:
+    """Add d to cnt[v] for every vertex v in mask."""
+    while mask:
+        cnt[(mask & -mask).bit_length() - 1] += d
+        mask &= mask - 1
+
+
 def _branch_and_bound(
     n: int,
     r: int,
@@ -123,6 +139,7 @@ def _branch_and_bound(
     choices: Callable[[int], Sequence[Optional[int]]],
     budget: Optional[SearchBudget],
     prune_bound: bool,
+    below: Optional[int] = None,
 ) -> SearchReport:
     """Depth-first branch and bound over the colex edge list of K_n^r.
 
@@ -153,6 +170,31 @@ def _branch_and_bound(
     first value is searched first either way, so the best leaf is the one
     the search without the rule finds.
 
+    below, when given, is the best leaf value of the same question on n - 1
+    vertices (-1 when no leaf exists there).  With prune_bound it adds two
+    cuts.  Take a leaf with c colors, a "left out" edge being no color, and a
+    vertex v; let L(v) count the colors whose edges all contain v.  Deleting
+    v leaves a leaf on n - 1 vertices: a coloring of K_{n-1}^r with c - L(v)
+    colors that still has no rainbow copy, since a copy there is a copy
+    here.  So c - L(v) <= below at every v.
+    * Global cap.  The edges of one color share at most r vertices, so the
+      sum of L(v) is at most r*c, and summing over v gives
+      (n - r)*c <= n*below.  Once best reaches n*below // (n - r) no leaf
+      can beat it, and the loop stops.  For turan this is the
+      Katona-Nemetz-Simonovits averaging bound.
+    * Star cut.  After edge j is decided, a color counts in a leaf's L(v)
+      only if all its edges so far contain v, or if it is opened later, by
+      an undecided edge at v.  So L(v) <= cnt[v] + rem[j + 1][v], where
+      cnt[v] counts the colors so far whose edges all contain v (kept from a
+      per-color AND of vertex masks, undone on backtrack) and rem[j + 1][v]
+      the edges after j at v.  A child with
+      below + cnt[v] + rem[j + 1][v] <= best at some v has only leaves with
+      c <= best.  For turan this is the minimum-degree condition
+      delta >= ex(n) - ex(n-1).
+    Both cuts drop only leaves with c <= best, and best only grows, so the
+    best leaf found is the one the search without them finds, whatever the
+    first-edge rule or the color-count bound has already dropped.
+
     The report's value is the best leaf's color count (None unless exact)
     and its witness that leaf's values in colex order (None if no leaf was
     reached); _solve shapes both and fills in the instance.
@@ -165,13 +207,30 @@ def _branch_and_bound(
     color_of: dict[int, Optional[int]] = {}  # vertex mask -> value of each decided edge
     get = color_of.get
 
+    ladder = prune_bound and below is not None
+    cap = M + 1  # no leaf reaches it: no stop
+    if ladder:
+        if n > r:
+            cap = n * below // (n - r)
+        rem = [[0] * n]  # rem[j][v]: edges j.. at v, built from the back
+        for e in reversed(edges):
+            row = rem[-1][:]
+            for v in e:
+                row[v] += 1
+            rem.append(row)
+        rem.reverse()
+    common: list[int] = []  # color -> AND of the vertex masks of its edges
+    cnt = [0] * n  # v -> colors whose edges all contain v
+    # edge -> (its color, that color's AND before it, or None if it opened it)
+    undo: list[Optional[tuple[int, Optional[int]]]] = [None] * M
+
     budget = budget or SearchBudget()
     max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
     start = time.monotonic()
     nodes = 0
     best = -1
     best_values: Optional[tuple[Optional[int], ...]] = None
-    stack = [(0, 0, 0)]
+    stack = [(0, 0, 0)] if best < cap else []
     status = "exact"
     while stack:
         j, top, i = stack.pop()
@@ -179,7 +238,17 @@ def _branch_and_bound(
             if top > best:
                 best = top
                 best_values = tuple(map(get, masks))
+                if best >= cap:
+                    break
             continue
+        if undo[j] is not None:
+            c, old = undo[j]
+            undo[j] = None
+            if old is None:
+                _bump(cnt, common.pop(), -1)
+            else:
+                _bump(cnt, old ^ common[c], 1)
+                common[c] = old
         opts = options[top]
         if i == len(opts):
             del color_of[masks[j]]
@@ -187,7 +256,7 @@ def _branch_and_bound(
         nodes += 1
         if (max_nodes is not None and nodes > max_nodes) or (
             max_seconds is not None
-            and not nodes & _TIME_CHECK_MASK
+            and nodes & _TIME_CHECK_MASK == 1
             and time.monotonic() - start > max_seconds
         ):
             status = "budget_exhausted"
@@ -204,8 +273,20 @@ def _branch_and_bound(
         if j or not fits:
             stack.append((j, top, i + 1))
         if fits:
+            if ladder and c is not None:
+                if c == top:
+                    common.append(masks[j])
+                    _bump(cnt, masks[j], 1)
+                    undo[j] = (c, None)
+                else:
+                    old = common[c]
+                    common[c] = old & masks[j]
+                    _bump(cnt, old ^ common[c], -1)
+                    undo[j] = (c, old)
             top += c == top
-            if not prune_bound or top + (M - j - 1) > best:
+            if not prune_bound or top + (M - j - 1) > best and (
+                not ladder or below + min(map(add, cnt, rem[j + 1])) > best
+            ):
                 stack.append((j + 1, top, 0))
 
     return SearchReport(
@@ -224,10 +305,19 @@ def _solve(
     """Run one solver: the one path from patterns to a report.
 
     Checks the input, builds one anchored matcher per member _drop_redundant
-    keeps, fewest edges first, and runs _branch_and_bound with the problem's
-    values: (top, None) for "turan", range(top + 1) for "anti_ramsey".  A
-    turan leaf becomes the Hypergraph of its chosen edges; an anti_ramsey
-    leaf becomes a Coloring, and the value is one more than its color count.
+    keeps, fewest edges first, and climbs the ladder k = r..n with the
+    problem's values: (top, None) for "turan", range(top + 1) for
+    "anti_ramsey".  Rung k runs _branch_and_bound on k vertices with below
+    set to the value of rung k - 1 and the matchers that fit in k; the
+    matchers are built for n and read only the mask-keyed edges of the rung,
+    so they answer for the smaller host too.  A rung below n on which no
+    matcher fits is not searched: every coloring with distinct colors is a
+    leaf, so its value is C(k, r).  The budget covers the whole climb, and
+    the report's nodes are summed over the rungs.  A rung that runs out ends
+    the run; a run that ends below n has no witness for n.  A turan leaf
+    becomes the Hypergraph of its chosen edges; an anti_ramsey leaf becomes
+    a Coloring, and the value is one more than its color count.  The
+    instance records as "below" the value rung n leaned on, or None.
     """
     turan = problem == "turan"
     if n < 0:
@@ -239,16 +329,38 @@ def _solve(
     matchers = [RainbowEmbedder(n, m) for m in _drop_redundant(family)]
     matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
     choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
-    rep = _branch_and_bound(n, r, matchers, choices, budget, True)
+    budget = budget or SearchBudget()
+    start = time.monotonic()
+    nodes, below = 0, None
+    for k in range(min(r, n), n + 1):
+        fitting = [em for em in matchers if len(em.f.non_isolated) <= k]
+        if k < n and not fitting:
+            below = comb(k, r)
+            continue
+        secs = budget.max_seconds
+        left = SearchBudget(
+            None if budget.max_nodes is None else budget.max_nodes - nodes,
+            None if secs is None else max(secs - (time.monotonic() - start), 0.0),
+        )
+        rep = _branch_and_bound(k, r, fitting, choices, left, True, below)
+        nodes += rep.nodes
+        if rep.status != "exact" or k == n:
+            break
+        below = rep.value
+    values = rep.witness if k == n else None
     if turan:
-        chosen = [e for e, c in zip(kn_edges(n, r), rep.witness or ()) if c is not None]
+        chosen = [e for e, c in zip(kn_edges(n, r), values or ()) if c is not None]
         value, witness = rep.value, make_hypergraph(n, r, chosen)
     else:
         value = None if rep.value is None else max(rep.value, 0) + 1
-        witness = None if rep.witness is None else make_coloring(n, r, rep.witness)
+        witness = None if values is None else make_coloring(n, r, values)
     patterns = [[list(e) for e in m.edges] for m in family.members]
-    instance = {"problem": problem, "n": n, "r": r, "patterns": patterns}
-    return replace(rep, value=value, witness=witness, instance=instance)
+    instance = {
+        "problem": problem, "n": n, "r": r, "patterns": patterns,
+        "below": below if k == n else None,
+    }
+    elapsed = time.monotonic() - start
+    return SearchReport(value, witness, nodes, elapsed, rep.status, instance)
 
 
 def exact_turan(

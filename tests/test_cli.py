@@ -337,14 +337,14 @@ class TestVerifyCommand:
     def test_only_k4_exact(self, capsys):
         assert run_command(["verify-paper", "--only", "k4-exact"]) == 0
         out = capsys.readouterr().out
-        assert "2 passed, 0 failed" in out
-        assert out.count("ok ") == 2
+        assert "4 passed, 0 failed" in out
+        assert out.count("ok ") == 4
 
     def test_only_k4_exact_json(self, capsys):
         argv = ["verify-paper", "--only", "k4-exact", "--format", "json"]
         assert run_command(argv) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(rows) == 2
+        assert len(rows) == 4
         keys = {f.name for f in fields(CheckRow)}
         assert all(set(row) == keys and row["verdict"] == "pass" for row in rows)
 

@@ -151,6 +151,12 @@ class TestExactTuran:
         a = exact_turan(5, [K3])
         assert a.value == b.value and a.nodes == b.nodes
 
+    def test_time_budget(self):
+        # the clock is read on the first node, so a run shorter than the
+        # clock interval still stops
+        rep = exact_turan(7, [K4], budget=SearchBudget(max_seconds=1e-9))
+        assert rep.status == "budget_exhausted" and rep.value is None
+
     def test_budget_exhaustion(self):
         rep = exact_turan(7, [K4], budget=SearchBudget(max_nodes=50))
         assert rep.status == "budget_exhausted"
@@ -237,6 +243,8 @@ class TestExactAntiRamsey:
             assert find_rainbow_copy(rep.witness, K4) is None
 
     def test_time_budget(self):
+        # the clock is read on the first node, so a run shorter than the
+        # clock interval still stops
         rep = exact_anti_ramsey(5, K4, budget=SearchBudget(max_seconds=1e-9))
         assert rep.status == "budget_exhausted"
 
@@ -273,14 +281,15 @@ def bell(m):
 @pytest.mark.parametrize("n", [3, 4])
 def test_node_is_one_value_tried(n):
     # K5 never fits in K_n, so no value is vetoed and every value tried is a
-    # node.  ex: edge 0 keeps its first value, every later edge tries both,
-    # and the bound cuts every "left out" child, leaving one node per value
-    # on the greedy path.  ar without the bound: every restricted growth
+    # node.  ex: no rung below n is searched, so the rung below gives
+    # C(n-1, 2) and the global cap n*C(n-1, 2) // (n-2) is M; the first,
+    # greedy leaf takes every edge, one node per edge, and reaches the cap,
+    # which stops the run.  ar without the bound: every restricted growth
     # string prefix of length j is one node, so the Bell(M) partitions of the
     # edge set are the nodes at the last edge.
     M = comb(n, 2)
     ex = exact_turan(n, [complete_graph(5)])
-    assert (ex.value, ex.nodes) == (M, 2 * M - 1)
+    assert (ex.value, ex.nodes) == (M, M)
     ar = unbounded_ar(n, complete_graph(5))
     assert (ar.value, ar.nodes) == (M, sum(bell(j) for j in range(1, M + 1)))
     assert exact_anti_ramsey(n, complete_graph(5)).value == M + 1
@@ -333,21 +342,149 @@ def test_budget_gives_exact_or_feasible_best_so_far(solve, n, fam):
 @pytest.mark.parametrize(
     "solve, nodes",
     [
-        (lambda: exact_turan(7, [K4]), 5753),
-        (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 6115),
-        (lambda: exact_anti_ramsey(5, K4), 5526),
-        (lambda: exact_anti_ramsey(5, cycle_graph(4)), 8241),
-        (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 7898),
+        (lambda: exact_turan(7, [K4]), 137),
+        (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 178),
+        (lambda: exact_anti_ramsey(5, K4), 586),
+        (lambda: exact_anti_ramsey(5, cycle_graph(4)), 915),
+        (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 1242),
     ],
     ids=["ex(7,K4)", "ex(6,K4^3)", "ar(5,K4)", "ar(5,C4)", "ar(5,K4^3)"],
 )
 def test_node_counts_pinned(solve, nodes):
-    # solver node counts are deterministic; a change in how the host is read
-    # must leave them alone, and only a change to pruning, symmetry breaking
-    # or what counts as a node may move them
+    # solver node counts, summed over the rungs of the climb, are
+    # deterministic; a change in how the host is read must leave them alone,
+    # and only a change to pruning, symmetry breaking or what counts as a
+    # node may move them
     rep = solve()
     assert rep.status == "exact"
     assert rep.nodes == nodes
+
+
+def run_loop(n, fam, turan, below=None):
+    """The loop on n vertices with the solver's values and bound, leaning on
+    below when it is given."""
+    choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
+    matchers = [RainbowEmbedder(n, f) for f in fam]
+    return _branch_and_bound(n, fam[0].r, matchers, choices, None, True, below)
+
+
+CHERRY = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
+LADDER_CORPUS = [
+    (4, [K3]),
+    (5, [K3]),
+    (5, [DIAMOND]),
+    (4, [K4]),  # does not fit in n - 1
+    (5, [complete_graph(5)]),  # does not fit in n - 1
+    (5, [K3, make_hypergraph(4, 2, [(0, 1), (2, 3)])]),
+    (5, [path_graph(3), cycle_graph(4)]),
+    (5, [make_hypergraph(6, 2, [(0, 1), (1, 2)])]),  # isolated vertices
+    (4, [single_edge(2)]),
+    (5, [make_hypergraph(5, 2, [(0, 1)])]),  # single edge, isolated vertices
+    (4, [CHERRY]),
+    (5, [CHERRY]),
+    (5, [complete_hypergraph(4, 3)]),
+    (5, [make_hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])]),  # does not fit in n - 1
+    (4, [single_edge(3)]),
+]
+
+
+@pytest.mark.parametrize("turan", [True, False], ids=["turan", "anti_ramsey"])
+@pytest.mark.parametrize("n, fam", LADDER_CORPUS)
+def test_ladder_cuts_against_unaided_and_brute(turan, n, fam):
+    # below is the value on n - 1 vertices; the cuts drop only leaves no
+    # better than the best so far, so the cut run reaches the unaided run's
+    # value and witness, in no more nodes
+    below = run_loop(n - 1, fam, turan).value
+    plain = run_loop(n, fam, turan)
+    cut = run_loop(n, fam, turan, below)
+    assert plain.status == cut.status == "exact"
+    assert (cut.value, cut.witness) == (plain.value, plain.witness)
+    assert cut.nodes <= plain.nodes
+    r = fam[0].r
+    if turan:
+        assert cut.value == brute_ex(n, fam, r)
+    elif len(fam) == 1 and comb(n, r) <= 6:
+        assert max(cut.value, 0) + 1 == brute_ar(n, fam[0])
+
+
+def test_single_edge_ladder_has_no_leaf():
+    # every coloring has a rainbow single edge, so no rung has a leaf: rung r
+    # tries color 0 on its one edge, and every rung above leans on -1 and
+    # stops before its first node
+    for r in (2, 3):
+        rep = exact_anti_ramsey(r + 3, single_edge(r))
+        assert (rep.value, rep.witness, rep.nodes) == (1, None, 1)
+        assert rep.instance["below"] == -1
+        assert verify_feasibility(rep)
+
+
+# the value of the loop on k vertices, A(k): ex(k, F) edges, or ar(k, F) - 1
+# colors, from the literature: Turan's theorem; Clapham, Flockhart & Sheehan
+# (1989) for C4; C(k,3) - T(k,4,3) for K4^3; ar(k,K3) = k and
+# ar(k,K4) = k^2 // 4 + 2 (Erdos-Simonovits-Sos); ar(k,C4) = 4k // 3 (Alon
+# 1983).  Below the pattern's vertex count A(k) = C(k, r).
+LADDERS = [
+    ("turan", K3, {2: 1, 3: 2, 4: 4, 5: 6, 6: 9, 7: 12, 8: 16}),
+    ("turan", K4, {2: 1, 3: 3, 4: 5, 5: 8, 6: 12, 7: 16, 8: 21}),
+    ("turan", cycle_graph(4), {2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11}),
+    ("turan", complete_hypergraph(4, 3), {3: 1, 4: 3, 5: 7, 6: 14}),
+    ("anti_ramsey", K3, {2: 1, 3: 2, 4: 3, 5: 4, 6: 5}),
+    ("anti_ramsey", K4, {2: 1, 3: 3, 4: 5, 5: 7, 6: 10}),
+    ("anti_ramsey", cycle_graph(4), {2: 1, 3: 3, 4: 4, 5: 5, 6: 7}),
+    ("anti_ramsey", complete_hypergraph(4, 3), {3: 1, 4: 3, 5: 6}),
+]
+
+
+@pytest.mark.parametrize("problem, f, values", LADDERS, ids=[
+    "ex-K3", "ex-K4", "ex-C4", "ex-K4^3", "ar-K3", "ar-K4", "ar-C4", "ar-K4^3"
+])
+def test_global_cap_never_undercuts(problem, f, values):
+    # the cap k * A(k-1) // (k - r) on rung k is at least A(k) along each
+    # ladder, and the climb that leans on it reaches the published values
+    r = f.r
+    for k, want in values.items():
+        if k > r:
+            assert k * values[k - 1] // (k - r) >= want, k
+        if problem == "turan":
+            rep = exact_turan(k, [f])
+            got = rep.value
+        else:
+            rep = exact_anti_ramsey(k, f)
+            got = rep.value - 1
+        assert got == want, k
+        assert verify_feasibility(rep)
+
+
+def test_climb_sums_rungs():
+    # K4 fits in neither 2 nor 3 vertices, so rung 4 leans on C(3,2) and
+    # rung 5 on rung 4; the report is rung 5's leaf with the nodes of both
+    four = run_loop(4, [K4], False, 3)
+    five = run_loop(5, [K4], False, four.value)
+    rep = exact_anti_ramsey(5, K4)
+    assert rep.nodes == four.nodes + five.nodes
+    assert rep.instance["below"] == four.value == 5
+    assert rep.value == five.value + 1 and rep.witness.colors == five.witness
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda budget: exact_turan(5, [K4], budget=budget),
+        lambda budget: exact_anti_ramsey(5, K4, budget=budget),
+    ],
+    ids=["turan", "anti_ramsey"],
+)
+def test_run_stopped_below_n_has_no_witness(solve):
+    # one node is spent on rung 4, so the run never reaches rung 5: there is
+    # no leaf on 5 vertices and no premise for it
+    rep = solve(SearchBudget(max_nodes=1))
+    assert rep.status == "budget_exhausted" and rep.nodes == 2
+    assert rep.value is None and rep.instance["below"] is None
+    if rep.instance["problem"] == "turan":
+        assert rep.witness.n == 5 and rep.witness.num_edges == 0
+    else:
+        assert rep.witness is None
+    assert verify_feasibility(rep)
 
 
 class TestVerifyFeasibility:
