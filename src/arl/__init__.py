@@ -40,14 +40,10 @@ from .hypergraph import (
     Family,
     Hypergraph,
     colex_rank,
-    degree,
     has_copy,
     independent_sets,
-    induced_multipartite,
-    induced_subgraph,
     is_independent,
     kn_edges,
-    link,
     make_family,
     make_hypergraph,
     relabel,

@@ -153,14 +153,10 @@ def bound_report(
     # for member, so their ex is the lower row's
     if target is not base and base.r >= 2:
         ex2, n2 = _ex(n, splitting_family(base), budget)
-        if exm is None or ex2 is None:
-            rows.append(
-                _compare(ar, "<=", None, hard=False, name="upper-expansion",
-                         note=note or n2)
-            )
-        else:
-            rhs = exm + (base.num_edges - 1) * ex2 + 1
-            rows.append(_compare(ar, "<=", rhs, hard=False, name="upper-expansion"))
+        rhs = None if exm is None or ex2 is None else exm + (base.num_edges - 1) * ex2 + 1
+        rows.append(
+            _compare(ar, "<=", rhs, hard=False, name="upper-expansion", note=note or n2)
+        )
 
     # pendant deletion upper bounds, one per k
     for k in range(1, target.r):

@@ -6,10 +6,7 @@ set_defaults: run= on the top-level commands, build= on the construct kinds
 and solve= on solve ex and ar.  The CLI parses, calls the library and emits
 what formats renders.
 
-Every run is a pure function of its argument vector; the only ambient input
-is ARL_DEFAULT_BUDGET ("NODES" or "NODES,SECONDS"), the budget of a run that
-gives neither --budget-nodes nor --budget-secs.  Either flag alone sets the
-whole budget and the variable is not read.
+Every run is a pure function of its argument vector.
 
 Exit codes: 0 success, 1 verify-paper found a failing check, 2 bad
 arguments or a malformed input file, 3 budget exhausted where an exact
@@ -20,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -78,15 +74,6 @@ def _single_pattern(args) -> Hypergraph:
 def _budget_from(args) -> Optional[SearchBudget]:
     nodes = getattr(args, "budget_nodes", None)
     secs = getattr(args, "budget_secs", None)
-    if nodes is None and secs is None:
-        env = os.environ.get("ARL_DEFAULT_BUDGET", "").strip()
-        if env:
-            parts = env.split(",", 1)  # a third field fails the float parse
-            try:
-                nodes = int(parts[0])
-                secs = float(parts[1]) if len(parts) > 1 else None
-            except ValueError as exc:
-                raise ValueError(f"bad ARL_DEFAULT_BUDGET {env!r}") from exc
     if nodes is None and secs is None:
         return None
     return SearchBudget(max_nodes=nodes, max_seconds=secs)
@@ -196,11 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", required=True, help="coloring file (text or .json)")
     _add_pattern_flags(p)
     p.add_argument(
-        "--budget-nodes",
-        type=int,
-        default=None,
-        help="node cap of the search; ARL_DEFAULT_BUDGET fills it in when "
-        "absent, and only its node part applies here",
+        "--budget-nodes", type=int, default=None, help="node cap of the search"
     )
     _add_io_flags(p)
 

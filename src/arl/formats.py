@@ -224,6 +224,8 @@ def report_from_json(d: dict) -> SearchReport:
                 lambda v: v in ("turan", "anti_ramsey"))
     for name, depth in (("n", 0), ("r", 0), ("patterns", 3)):
         _json_ints(instance, name, depth)
+    if "below" in instance:  # reports written before the ladder lack it
+        _json_field(instance, "below", "an integer or null", lambda v: v is None or _is_int(v))
     return SearchReport(
         value=value,
         witness=w,

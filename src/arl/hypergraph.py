@@ -26,10 +26,6 @@ __all__ = [
     "make_family",
     "relabel",
     "remove_vertices",
-    "degree",
-    "link",
-    "induced_multipartite",
-    "induced_subgraph",
     "is_independent",
     "independent_sets",
     "has_copy",
@@ -180,62 +176,6 @@ def remove_vertices(h: Hypergraph, vs: Iterable[int]) -> Hypergraph:
             nxt += 1
     kept = [e for e in h.edges if not drop.intersection(e)]
     return make_hypergraph(nxt, h.r, [[new_id[v] for v in e] for e in kept])
-
-
-def degree(h: Hypergraph, v: int) -> int:
-    """Number of edges containing v."""
-    if v < 0 or v >= h.n:
-        raise ValueError(f"vertex {v} out of range")
-    return h.degrees[v]
-
-
-def link(h: Hypergraph, v: int) -> Hypergraph:
-    """The (r-1)-graph on the same vertex set with edges {e : e + {v} in H}.
-
-    Requires r >= 2.  Distinct edges stay distinct after removing v, so the
-    link has exactly degree(h, v) edges.
-    """
-    if h.r < 2:
-        raise ValueError("link requires uniformity >= 2")
-    if v < 0 or v >= h.n:
-        raise ValueError(f"vertex {v} out of range")
-    shrunk = [tuple(u for u in e if u != v) for e in h.edges if v in e]
-    return make_hypergraph(h.n, h.r - 1, shrunk)
-
-
-def _check_parts(h: Hypergraph, parts: Sequence[Iterable[int]]) -> list[set[int]]:
-    sets = [set(p) for p in parts]
-    seen: set[int] = set()
-    for p in sets:
-        if any(v < 0 or v >= h.n for v in p):
-            raise ValueError("part leaves the vertex range")
-        if seen.intersection(p):
-            raise ValueError("parts overlap")
-        seen.update(p)
-    return sets
-
-
-def induced_multipartite(h: Hypergraph, parts: Sequence[Iterable[int]]) -> Hypergraph:
-    """Sub-hypergraph induced by disjoint vertex classes.
-
-    Keeps edges that lie inside the union of the parts and touch each part at
-    most once.  The vertex set is unchanged; only edges are filtered.
-    """
-    sets = _check_parts(h, parts)
-    union: set[int] = set().union(*sets) if sets else set()
-    kept = []
-    for e in h.edges:
-        if not union.issuperset(e):
-            continue
-        if all(len(p.intersection(e)) <= 1 for p in sets):
-            kept.append(e)
-    return Hypergraph(h.n, h.r, tuple(kept))
-
-
-def induced_subgraph(h: Hypergraph, vertices: Iterable[int]) -> Hypergraph:
-    """Edges lying entirely inside the given vertex set (labels unchanged)."""
-    (u,) = _check_parts(h, [vertices])
-    return Hypergraph(h.n, h.r, tuple(e for e in h.edges if u.issuperset(e)))
 
 
 def is_independent(h: Hypergraph, vertices: Iterable[int], mode: str = "weak") -> bool:

@@ -137,10 +137,11 @@ def _branch_and_bound(
     r: int,
     matchers: list[RainbowEmbedder],
     choices: Callable[[int], Sequence[Optional[int]]],
-    budget: Optional[SearchBudget],
     prune_bound: bool,
     below: Optional[int] = None,
-) -> SearchReport:
+    max_nodes: Optional[int] = None,
+    deadline: Optional[float] = None,
+) -> tuple[str, int, Optional[tuple[Optional[int], ...]], int]:
     """Depth-first branch and bound over the colex edge list of K_n^r.
 
     Edge j gets each value of choices(top) in order, where top is the number
@@ -152,7 +153,9 @@ def _branch_and_bound(
     every later edge could not beat the best leaf.  Both solvers pass True.
     False exists for differential tests: with the anti-Ramsey values and no
     veto, the node count is then the sum of Bell(j) over 1 <= j <= len(edges).
-    It is the one off switch for every cut this loop carries.
+    It switches off the color-count bound and the global cap and star cut
+    below, not the first-edge rule, which test_first_edge_rule_against_brute
+    checks.
 
     Stack invariant: an entry (j, top, i) tries value i of choices(top) on
     edge j, and i == len(choices(top)) leaves edge j.  The entry for i + 1
@@ -195,9 +198,12 @@ def _branch_and_bound(
     best leaf found is the one the search without them finds, whatever the
     first-edge rule or the color-count bound has already dropped.
 
-    The report's value is the best leaf's color count (None unless exact)
-    and its witness that leaf's values in colex order (None if no leaf was
-    reached); _solve shapes both and fills in the instance.
+    The search stops with status "budget_exhausted" at the first node past
+    max_nodes, or at a node at which the clock has passed deadline (a
+    time.monotonic() value, read on node 1 and every 1024 nodes after);
+    otherwise the status is "exact".  Returns (status, best, values, nodes):
+    the best leaf's color count (-1 if no leaf was reached), that leaf's
+    values in colex order (None if none) and the nodes tried.
     """
     edges = kn_edges(n, r)
     M = len(edges)
@@ -224,9 +230,6 @@ def _branch_and_bound(
     # edge -> (its color, that color's AND before it, or None if it opened it)
     undo: list[Optional[tuple[int, Optional[int]]]] = [None] * M
 
-    budget = budget or SearchBudget()
-    max_nodes, max_seconds = budget.max_nodes, budget.max_seconds
-    start = time.monotonic()
     nodes = 0
     best = -1
     best_values: Optional[tuple[Optional[int], ...]] = None
@@ -255,9 +258,9 @@ def _branch_and_bound(
             continue
         nodes += 1
         if (max_nodes is not None and nodes > max_nodes) or (
-            max_seconds is not None
+            deadline is not None
             and nodes & _TIME_CHECK_MASK == 1
-            and time.monotonic() - start > max_seconds
+            and time.monotonic() > deadline
         ):
             status = "budget_exhausted"
             break
@@ -289,14 +292,7 @@ def _branch_and_bound(
             ):
                 stack.append((j + 1, top, 0))
 
-    return SearchReport(
-        value=best if status == "exact" else None,
-        witness=best_values,
-        nodes=nodes,
-        elapsed=time.monotonic() - start,
-        status=status,
-        instance={},
-    )
+    return status, best, best_values, nodes
 
 
 def _solve(
@@ -312,9 +308,11 @@ def _solve(
     matchers are built for n and read only the mask-keyed edges of the rung,
     so they answer for the smaller host too.  A rung below n on which no
     matcher fits is not searched: every coloring with distinct colors is a
-    leaf, so its value is C(k, r).  The budget covers the whole climb, and
-    the report's nodes are summed over the rungs.  A rung that runs out ends
-    the run; a run that ends below n has no witness for n.  A turan leaf
+    leaf, so its value is C(k, r).  The budget covers the whole climb: every
+    rung runs against one deadline, start + max_seconds, and may try the
+    nodes the rungs before it left of max_nodes, so the report's nodes are
+    summed over the rungs.  A rung that runs out ends the run with value
+    None; a run that ends below n has no witness for n.  A turan leaf
     becomes the Hypergraph of its chosen edges; an anti_ramsey leaf becomes
     a Coloring, and the value is one more than its color count.  The
     instance records as "below" the value rung n leaned on, or None.
@@ -330,37 +328,39 @@ def _solve(
     matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
     choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
     budget = budget or SearchBudget()
+    max_nodes, secs = budget.max_nodes, budget.max_seconds
     start = time.monotonic()
+    deadline = None if secs is None else start + secs
     nodes, below = 0, None
     for k in range(min(r, n), n + 1):
         fitting = [em for em in matchers if len(em.f.non_isolated) <= k]
         if k < n and not fitting:
             below = comb(k, r)
             continue
-        secs = budget.max_seconds
-        left = SearchBudget(
-            None if budget.max_nodes is None else budget.max_nodes - nodes,
-            None if secs is None else max(secs - (time.monotonic() - start), 0.0),
+        left = None if max_nodes is None else max_nodes - nodes
+        status, best, values, spent = _branch_and_bound(
+            k, r, fitting, choices, True, below, left, deadline
         )
-        rep = _branch_and_bound(k, r, fitting, choices, left, True, below)
-        nodes += rep.nodes
-        if rep.status != "exact" or k == n:
+        nodes += spent
+        if status != "exact" or k == n:
             break
-        below = rep.value
-    values = rep.witness if k == n else None
+        below = best
+    if k < n:
+        values = None
     if turan:
         chosen = [e for e, c in zip(kn_edges(n, r), values or ()) if c is not None]
-        value, witness = rep.value, make_hypergraph(n, r, chosen)
+        value, witness = best, make_hypergraph(n, r, chosen)
     else:
-        value = None if rep.value is None else max(rep.value, 0) + 1
+        value = max(best, 0) + 1
         witness = None if values is None else make_coloring(n, r, values)
+    if status != "exact":
+        value = None
     patterns = [[list(e) for e in m.edges] for m in family.members]
     instance = {
         "problem": problem, "n": n, "r": r, "patterns": patterns,
         "below": below if k == n else None,
     }
-    elapsed = time.monotonic() - start
-    return SearchReport(value, witness, nodes, elapsed, rep.status, instance)
+    return SearchReport(value, witness, nodes, time.monotonic() - start, status, instance)
 
 
 def exact_turan(
@@ -415,7 +415,7 @@ def verify_feasibility(report: SearchReport) -> bool:
     ]
     if inst["problem"] == "turan":
         host = report.witness
-        if not isinstance(host, Hypergraph) or host.n != inst["n"]:
+        if not isinstance(host, Hypergraph) or host.n != inst["n"] or host.r != inst["r"]:
             return False
         if report.value is not None and host.num_edges != report.value:
             return False
@@ -433,7 +433,7 @@ def verify_feasibility(report: SearchReport) -> bool:
             if mono.num_colors == 0:
                 return True
             return any(find_rainbow_copy(mono, p) is not None for p in patterns)
-        if not isinstance(chi, Coloring) or chi.n != inst["n"]:
+        if not isinstance(chi, Coloring) or chi.n != inst["n"] or chi.r != inst["r"]:
             return False
         if report.value is not None and chi.num_colors != report.value - 1:
             return False

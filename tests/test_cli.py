@@ -199,16 +199,6 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("ARL_DEFAULT_BUDGET", "50")
-        assert run_command(["solve", "ar", "--n", "5", "--family", "K4"]) == 3
-        # explicit flag wins over the environment
-        monkeypatch.setenv("ARL_DEFAULT_BUDGET", "50,0.001")
-        code = run_command(
-            ["solve", "ar", "--n", "4", "--family", "K3", "--budget-nodes", "10000000"]
-        )
-        assert code == 0
-
     @pytest.mark.parametrize(
         "flags", [["--budget-nodes", "-1"], ["--budget-secs", "-0.5"]]
     )
@@ -217,11 +207,6 @@ class TestSolve:
         assert run_command(argv) == 2
         assert "must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env", ["100,5,7", "-5", "100,-1", "100,nan"])
-    def test_bad_env_budget_is_usage_error(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("ARL_DEFAULT_BUDGET", env)
-        assert run_command(["solve", "ar", "--n", "4", "--family", "K3"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestColorAndCheck:
@@ -280,18 +265,12 @@ class TestColorAndCheck:
             "note": "search budget exhausted after 2 nodes",
         }
 
-    def test_rainbow_free_env_budget(self, tmp_path, capsys, monkeypatch):
+    def test_rainbow_free_budget_flag(self, tmp_path, capsys):
         chifile = tmp_path / "chi.txt"
         chifile.write_text("3 2 3\n0 1 2\n")
         argv = ["check", "rainbow-free", "--coloring", str(chifile), "--family", "K3"]
         assert run_command(argv + ["--budget-nodes", "1"]) == 3
-        capsys.readouterr()
-        monkeypatch.setenv("ARL_DEFAULT_BUDGET", "1")
-        assert run_command(argv) == 3
         assert "undecided" in capsys.readouterr().out
-        # only the node part applies; the flag still wins over the environment
-        monkeypatch.setenv("ARL_DEFAULT_BUDGET", "1,1000")
-        assert run_command(argv) == 3
         assert run_command(argv + ["--budget-nodes", "1000"]) == 0
         assert "rainbow-free: no" in capsys.readouterr().out
 

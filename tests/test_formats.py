@@ -239,13 +239,14 @@ class TestReportRoundTrip:
             (lambda d: d["instance"].update(r="2"), "'r'"),
             (lambda d: d["instance"].update(patterns="K3"), "'patterns'"),
             (lambda d: d["instance"].update(patterns=[[0, 1]]), "'patterns'"),
+            (lambda d: d["instance"].update(below="x"), "'below'"),
         ],
         ids=[
             "no-elapsed", "no-nodes", "no-status", "no-value", "no-instance",
             "no-witness", "no-kind", "nodes-str", "nodes-bool", "value-float",
             "elapsed-str", "status-unknown", "instance-list", "witness-list",
             "witness-no-edges", "instance-empty", "problem-unknown", "no-n",
-            "r-str", "patterns-str", "patterns-flat",
+            "r-str", "patterns-str", "patterns-flat", "below-str",
         ],
     )
     def test_json_bad_field_named(self, edit, field):
@@ -255,13 +256,17 @@ class TestReportRoundTrip:
             formats.report_from_json(d)
 
     def test_optional_fields(self):
-        # the witness and value may be null
+        # the witness, value and below may be null, and reports written
+        # before the ladder have no below
         rep = exact_turan(4, [complete_graph(3)])
         d = formats.report_to_json(rep)
         d.update(value=None, witness=None, status="budget_exhausted", elapsed_ms=3)
+        d["instance"]["below"] = None
         back = formats.report_from_json(d)
         assert back.value is None and back.witness is None
-        assert back.elapsed == 0.003
+        assert back.elapsed == 0.003 and back.instance["below"] is None
+        del d["instance"]["below"]
+        assert "below" not in formats.report_from_json(d).instance
 
 
 class TestBounds:

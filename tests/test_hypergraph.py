@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from arl.hypergraph import (
     Embedding,
     colex_rank,
-    degree,
     has_copy,
     independent_sets,
-    induced_multipartite,
-    induced_subgraph,
     is_independent,
     kn_edges,
-    link,
     make_family,
     make_hypergraph,
     relabel,
@@ -88,50 +84,9 @@ class TestColex:
 
 
 class TestLinkDegree:
-    def test_link_of_triangle(self):
-        lk = link(K3, 0)
-        assert lk.r == 1
-        assert lk.edges == ((1,), (2,))
-        assert lk.num_edges == degree(K3, 0) == 2
-
-    def test_link_of_isolated(self):
-        h = make_hypergraph(4, 3, [(0, 1, 2)])
-        assert link(h, 3).num_edges == 0
-
     def test_degree_sum(self):
         for h in (K3, K4, P3):
             assert sum(h.degrees) == h.r * h.num_edges
-
-    def test_link_requires_r2(self):
-        one = make_hypergraph(2, 1, [(0,), (1,)])
-        with pytest.raises(ValueError):
-            link(one, 0)
-
-
-class TestInduced:
-    def test_c4_from_k4(self):
-        c = induced_multipartite(K4, [(0, 1), (2, 3)])
-        assert c.num_edges == 4
-        assert (0, 1) not in c.edge_set and (2, 3) not in c.edge_set
-
-    def test_k5_triples(self):
-        k53 = make_hypergraph(5, 3, kn_edges(5, 3))
-        h = induced_multipartite(k53, [(0, 1), (2, 3), (4,)])
-        assert h.num_edges == 4
-        for e in h.edges:
-            assert len(set(e) & {0, 1}) <= 1 and len(set(e) & {2, 3}) <= 1
-
-    def test_singletons_identity(self):
-        parts = [(v,) for v in range(K4.n)]
-        assert induced_multipartite(K4, parts) == K4
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            induced_multipartite(K4, [(0, 1), (1, 2)])
-
-    def test_single_set_induced(self):
-        h = induced_subgraph(K4, (0, 1, 2))
-        assert h.num_edges == 3
 
 
 class TestIndependentSets:

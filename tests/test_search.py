@@ -31,10 +31,11 @@ DIAMOND = make_hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 
 
 def unbounded_ar(n, pattern):
-    """The anti-Ramsey loop with the color-count bound off: its value is the
-    largest rainbow-free color count, one less than ar."""
+    """The anti-Ramsey loop with the color-count bound off, as (status, best,
+    values, nodes): best is the largest rainbow-free color count, one less
+    than ar."""
     return _branch_and_bound(
-        n, pattern.r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), None, False
+        n, pattern.r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), False
     )
 
 
@@ -222,19 +223,19 @@ class TestExactAntiRamsey:
             assert verify_feasibility(rep)
 
     def test_prune_toggle_agrees(self):
-        a = unbounded_ar(4, K3)
+        _, best, _, nodes = unbounded_ar(4, K3)
         b = exact_anti_ramsey(4, K3)
-        assert a.value + 1 == b.value
-        assert b.nodes <= a.nodes
+        assert best + 1 == b.value
+        assert b.nodes <= nodes
 
     def test_leaf_count_is_bell(self):
         # with pattern too big to embed and the bound off, the nodes above the
         # last edge are the Bell(j) partitions of the shorter prefixes, so the
         # rest, the leaves, are the set partitions of all 6 edges
         big = complete_graph(5)
-        rep = unbounded_ar(4, big)
-        assert rep.nodes - sum(bell(j) for j in range(1, 6)) == 203  # Bell(6)
-        assert rep.value + 1 == exact_anti_ramsey(4, big).value == comb(4, 2) + 1
+        _, best, _, nodes = unbounded_ar(4, big)
+        assert nodes - sum(bell(j) for j in range(1, 6)) == 203  # Bell(6)
+        assert best + 1 == exact_anti_ramsey(4, big).value == comb(4, 2) + 1
 
     def test_budget_exhaustion(self):
         rep = exact_anti_ramsey(5, K4, budget=SearchBudget(max_nodes=100))
@@ -290,8 +291,8 @@ def test_node_is_one_value_tried(n):
     M = comb(n, 2)
     ex = exact_turan(n, [complete_graph(5)])
     assert (ex.value, ex.nodes) == (M, M)
-    ar = unbounded_ar(n, complete_graph(5))
-    assert (ar.value, ar.nodes) == (M, sum(bell(j) for j in range(1, M + 1)))
+    _, best, _, nodes = unbounded_ar(n, complete_graph(5))
+    assert (best, nodes) == (M, sum(bell(j) for j in range(1, M + 1)))
     assert exact_anti_ramsey(n, complete_graph(5)).value == M + 1
 
 
@@ -360,12 +361,12 @@ def test_node_counts_pinned(solve, nodes):
     assert rep.nodes == nodes
 
 
-def run_loop(n, fam, turan, below=None):
+def run_loop(n, fam, turan, below=None, **budget):
     """The loop on n vertices with the solver's values and bound, leaning on
-    below when it is given."""
+    below when it is given, as (status, best, values, nodes)."""
     choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
     matchers = [RainbowEmbedder(n, f) for f in fam]
-    return _branch_and_bound(n, fam[0].r, matchers, choices, None, True, below)
+    return _branch_and_bound(n, fam[0].r, matchers, choices, True, below, **budget)
 
 
 CHERRY = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
@@ -394,17 +395,17 @@ def test_ladder_cuts_against_unaided_and_brute(turan, n, fam):
     # below is the value on n - 1 vertices; the cuts drop only leaves no
     # better than the best so far, so the cut run reaches the unaided run's
     # value and witness, in no more nodes
-    below = run_loop(n - 1, fam, turan).value
-    plain = run_loop(n, fam, turan)
-    cut = run_loop(n, fam, turan, below)
-    assert plain.status == cut.status == "exact"
-    assert (cut.value, cut.witness) == (plain.value, plain.witness)
-    assert cut.nodes <= plain.nodes
+    below = run_loop(n - 1, fam, turan)[1]
+    plain_status, plain_best, plain_values, plain_nodes = run_loop(n, fam, turan)
+    cut_status, cut_best, cut_values, cut_nodes = run_loop(n, fam, turan, below)
+    assert plain_status == cut_status == "exact"
+    assert (cut_best, cut_values) == (plain_best, plain_values)
+    assert cut_nodes <= plain_nodes
     r = fam[0].r
     if turan:
-        assert cut.value == brute_ex(n, fam, r)
+        assert cut_best == brute_ex(n, fam, r)
     elif len(fam) == 1 and comb(n, r) <= 6:
-        assert max(cut.value, 0) + 1 == brute_ar(n, fam[0])
+        assert max(cut_best, 0) + 1 == brute_ar(n, fam[0])
 
 
 def test_single_edge_ladder_has_no_leaf():
@@ -458,12 +459,21 @@ def test_global_cap_never_undercuts(problem, f, values):
 def test_climb_sums_rungs():
     # K4 fits in neither 2 nor 3 vertices, so rung 4 leans on C(3,2) and
     # rung 5 on rung 4; the report is rung 5's leaf with the nodes of both
-    four = run_loop(4, [K4], False, 3)
-    five = run_loop(5, [K4], False, four.value)
+    _, four_best, _, four_nodes = run_loop(4, [K4], False, 3)
+    _, five_best, five_values, five_nodes = run_loop(5, [K4], False, four_best)
     rep = exact_anti_ramsey(5, K4)
-    assert rep.nodes == four.nodes + five.nodes
-    assert rep.instance["below"] == four.value == 5
-    assert rep.value == five.value + 1 and rep.witness.colors == five.witness
+    assert rep.nodes == four_nodes + five_nodes
+    assert rep.instance["below"] == four_best == 5
+    assert rep.value == five_best + 1 and rep.witness.colors == five_values
+
+
+@pytest.mark.parametrize(
+    "budget", [{"deadline": float("-inf")}, {"max_nodes": 0}], ids=["past_deadline", "no_nodes"]
+)
+def test_loop_budget_stops_on_first_node(budget):
+    # the clock is read on node 1, so a deadline already past stops the loop
+    # there, as a node cap of 0 does; no leaf has been reached
+    assert run_loop(5, [K4], False, **budget) == ("budget_exhausted", -1, None, 1)
 
 
 @pytest.mark.parametrize(
@@ -503,6 +513,25 @@ class TestVerifyFeasibility:
         rep = exact_anti_ramsey(4, K3)
         m = rep.value - 1
         bad = make_coloring(4, 2, [i % m for i in range(6)])
+        assert not verify_feasibility(dataclasses.replace(rep, witness=bad))
+
+    def test_rejects_turan_witness_of_wrong_uniformity(self):
+        import dataclasses
+
+        # a 3-graph with as many edges as ex(5, K3) claims
+        rep = exact_turan(5, [K3])
+        bad = make_hypergraph(5, 3, kn_edges(5, 3)[: rep.value])
+        assert not verify_feasibility(dataclasses.replace(rep, witness=bad))
+
+    def test_rejects_coloring_witness_of_wrong_uniformity(self):
+        import dataclasses
+
+        from arl.coloring import make_coloring
+
+        # a coloring of K_4^3 with as many colors as ar(4, K3) - 1 claims
+        rep = exact_anti_ramsey(4, K3)
+        bad = make_coloring(4, 3, [0, 1, 2, 0])
+        assert bad.num_colors == rep.value - 1
         assert not verify_feasibility(dataclasses.replace(rep, witness=bad))
 
     def test_budget_report_checks_witness_only(self):
