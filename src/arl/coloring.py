@@ -9,20 +9,18 @@ into the host such that the image edges carry pairwise distinct colors.  The
 detector is an exhaustive backtracking search; running out of budget raises
 BudgetExhausted rather than ever reporting a false "no copy".  It reads
 colors through a color_at callback keyed by an image edge's vertex mask
-(int, bit v per host vertex v), with None for an unusable edge.  A search
-anchored at a host edge tries one seed per Aut(F) orbit of ordered pattern
-edges; the seeds are built on the first anchored search.
+(int, bit v per host vertex v), with None for an unusable edge.  The search
+is free, over every placement of the pattern; the exact solvers do not call
+it, they veto colors with a table of copies (see search._copy_tables).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence
 
-from .canonical import automorphism_generators, orbit
 from .constructions import turan_partition
 from .hypergraph import (
     Embedding,
@@ -166,58 +164,24 @@ class RainbowFreeReport:
 
 
 class RainbowEmbedder:
-    """Reusable search plans for rainbow copies of one pattern in K_n^r.
+    """Reusable search plan for rainbow copies of one pattern in K_n^r.
 
     The pattern's non-isolated vertices are embedded injectively; image edges
     must be colored with pairwise distinct colors.  color_at receives an image
     edge as its vertex mask (bit v set for each host vertex v, see
     vertex_mask) and returns the edge's color, or None when the edge is
     unusable.  Plain containment is the case where every present host edge
-    has its own color (see has_copy).
-
-    The free plan is built here, so solvers can run find millions of times
-    cheaply.  The anchored seeds are built on the first anchored find:
-    callers that only run free searches never compute Aut(F).
+    has its own color (see has_copy).  The plan is built here, so callers can
+    run find many times cheaply; the exact solvers read a copy table instead
+    (see search._copy_tables).
     """
 
     def __init__(self, n: int, f: Hypergraph):
         self.n = n
         self.f = f
-        self.order = self._order(seed=())
-        self.schedule = self._schedule(self.order)
-
-    @cached_property
-    def anchored_plans(self) -> list[tuple[list[tuple[int, ...]], list[int], list]]:
-        """(seeds, order, schedule) for each pattern edge fe keeping a seed.
-
-        A seed is an ordering t of fe; t[k] goes onto the k-th vertex of the
-        sorted anchor.  Only the first seed, in (fe, permutation) order, of
-        each orbit of ordered pattern edges under Aut(F) is kept.  That is
-        sound: if phi is an embedding through seed t and alpha an
-        automorphism, phi o alpha^-1 is an embedding through seed alpha(t)
-        with the same image edges, colors and anchor, so one seed per orbit
-        settles the same yes/no question.  Orbits are closed over the
-        generators the canonical search finds.
-        """
-        gens = automorphism_generators(self.f)
-        seen: set[tuple[int, ...]] = set()
-        plans = []
-        for fe in self.f.edges:
-            seeds = []
-            for t in itertools.permutations(fe):
-                if t not in seen:
-                    seeds.append(t)
-                    seen |= orbit([t], gens, lambda g, s: tuple(g[v] for v in s))
-            if seeds:
-                order = self._order(seed=fe)
-                plans.append((seeds, order, self._schedule(order)))
-        return plans
-
-    def _order(self, seed: Sequence[int]) -> list[int]:
-        remaining = [v for v in self.f.non_isolated if v not in seed]
-        order = list(seed)
-        placed = set(seed)
-        f = self.f
+        order: list[int] = []
+        placed: set[int] = set()
+        remaining = list(f.non_isolated)
         while remaining:
             nxt = max(
                 remaining,
@@ -230,17 +194,14 @@ class RainbowEmbedder:
             order.append(nxt)
             placed.add(nxt)
             remaining.remove(nxt)
-        return order
-
-    def _schedule(self, order: Sequence[int]) -> list[list[tuple[int, ...]]]:
-        """Per position i, the edges whose last vertex in order is order[i],
-        each given by its other vertices."""
+        self.order = order
+        # per position i, the edges whose last vertex in order is order[i],
+        # each given by its other vertices
         pos = {v: i for i, v in enumerate(order)}
-        sched: list[list[tuple[int, ...]]] = [[] for _ in order]
-        for e in self.f.edges:
+        self.schedule: list[list[tuple[int, ...]]] = [[] for _ in order]
+        for e in f.edges:
             i = max(pos[v] for v in e)
-            sched[i].append(tuple(u for u in e if u != order[i]))
-        return sched
+            self.schedule[i].append(tuple(u for u in e if u != order[i]))
 
     def find(
         self,
@@ -251,21 +212,23 @@ class RainbowEmbedder:
         """First rainbow embedding in deterministic order, or None.
 
         color_at maps an image edge's vertex mask to its color, or to None
-        when the edge is unusable.  With an anchor, only embeddings whose
-        image includes the anchor edge are considered, and only one seed per
-        Aut(F) orbit is tried (see anchored_plans, built on the first
-        anchored call).  Returns (embedding, nodes).  Raises BudgetExhausted
-        when max_nodes assignments were tried without settling the question.
+        when the edge is unusable.  The search is free: anchor must be None,
+        and any other value raises ValueError.  Returns (embedding, nodes).
+        Raises BudgetExhausted when max_nodes assignments were tried without
+        settling the question.
         """
+        if anchor is not None:
+            raise ValueError("find searches freely; anchor must be None")
         f = self.f
         n = self.n
-        if len(f.non_isolated) > n:
+        order, sched = self.order, self.schedule
+        if len(order) > n:
             return None, 0
         nodes = 0
         images: list[Optional[int]] = [None] * f.n
         bits = [0] * f.n  # bits[v] == 1 << images[v] once v is placed
 
-        def dfs(order, sched, i, used, used_colors) -> Optional[Embedding]:
+        def dfs(i: int, used: int, used_colors: set) -> Optional[Embedding]:
             nonlocal nodes
             if i == len(order):
                 return Embedding(tuple(images))
@@ -294,42 +257,14 @@ class RainbowEmbedder:
                     images[v] = cand
                     bits[v] = bit
                     used_colors.update(added)
-                    hit = dfs(order, sched, i + 1, used | bit, used_colors)
+                    hit = dfs(i + 1, used | bit, used_colors)
                     if hit is not None:
                         return hit
                     used_colors.difference_update(added)
             images[v] = None
             return None
 
-        # the free search is one plan with one empty seed; an anchored seed
-        # completes only its own pattern edge (distinct edges are distinct
-        # r-sets), whose image is the anchor, so its color starts out used
-        if anchor is None:
-            anchor, used, used_colors = (), 0, set()
-            plans = [([()], self.order, self.schedule)]
-        else:
-            anchor = tuple(sorted(anchor))
-            used = vertex_mask(anchor)
-            base = color_at(used)
-            if base is None:
-                return None, 0
-            used_colors = {base}
-            plans = self.anchored_plans
-        for seeds, order, sched in plans:
-            for seed in seeds:
-                if seed:
-                    nodes += 1
-                    if max_nodes is not None and nodes > max_nodes:
-                        raise BudgetExhausted(nodes)
-                for v, host in zip(seed, anchor):
-                    images[v] = host
-                    bits[v] = 1 << host
-                hit = dfs(order, sched, len(seed), used, used_colors)
-                if hit is not None:
-                    return hit, nodes
-                for v in seed:
-                    images[v] = None
-        return None, nodes
+        return dfs(0, 0, set()), nodes
 
 
 def find_rainbow_copy(

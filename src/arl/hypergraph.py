@@ -257,8 +257,7 @@ def has_copy(f: Hypergraph, h: Hypergraph) -> bool:
 
     A copy is a rainbow copy when every host edge has its own color, so this
     is a free RainbowEmbedder search that reads each present edge's index in
-    h.edges as its color, keyed by vertex mask.  A free search never builds
-    the embedder's anchored seeds, so no automorphism group is computed here.
+    h.edges as its color, keyed by vertex mask.
     """
     from .coloring import RainbowEmbedder  # coloring imports this module
 

@@ -9,20 +9,22 @@ Two solvers share the same report shape:
                       color count of a rainbow-free coloring.
 
 Both are one call into _solve, the one path from patterns to a report: it
-checks the input, builds the matchers, climbs the ladder of hosts K_k^r for
-k = r..n and shapes the witness.  Each rung runs the one depth-first loop,
-_branch_and_bound, over the colex edge list, and the value of rung k - 1
-cuts rung k: deleting a vertex from a leaf on k vertices leaves a leaf on
+checks the input, climbs the ladder of hosts K_k^r for k = r..n and shapes
+the witness.  Each rung runs the one depth-first loop, _branch_and_bound,
+over the colex edge list, and the value of rung k - 1 cuts rung k: deleting a vertex from a leaf on k vertices leaves a leaf on
 k - 1.  Nearly all of a solve proves that its best leaf is optimal, so this
 upper bound is where the climb pays.  The solvers differ only in the values
 an edge may take, given the number top of colors used on earlier edges:
 exact_turan tries (top, None), a fresh color and then "left out", so
 distinct edges get distinct colors and a rainbow copy is a copy;
 exact_anti_ramsey tries range(top + 1), the restricted growth strings.  A
-color is vetoed by a check anchored at the newest edge, so a feasible prefix
-is never re-tested against old edges.  A node is one value tried on one
-edge.  The loop keeps an explicit stack, so host size is not capped by the
-interpreter's recursion limit.
+copy table lists every copy of a pattern in the host under its
+highest-ranked edge, and grows by one vertex per rung, so a solve lists each
+copy once.  A color on the newest edge is vetoed when a copy listed under
+that edge would be rainbow with it, so a feasible prefix is never re-tested
+against old edges.  A node is one value tried on one edge.  The loop keeps
+an explicit stack, so host size is not capped by the interpreter's
+recursion limit.
 Budgets cap nodes and wall time over the whole climb; a tripped budget
 yields an honest "budget_exhausted" report instead of an unproven value.
 """
@@ -31,17 +33,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .coloring import (
-    Coloring,
-    RainbowEmbedder,
-    check_cap,
-    find_rainbow_copy,
-    make_coloring,
-)
+from .coloring import Coloring, check_cap, find_rainbow_copy, make_coloring
 from .hypergraph import (
     Family,
     Hypergraph,
@@ -60,7 +57,8 @@ __all__ = [
     "verify_feasibility",
 ]
 
-_TIME_CHECK_MASK = 0x3FF  # look at the clock on node 1 and every 1024 nodes after
+# nodes plus copies scanned between clock reads; a node costs about one copy
+_CLOCK_TICKS = 4096
 
 
 @dataclass(frozen=True)
@@ -125,6 +123,97 @@ def _drop_redundant(fam: Family) -> list[Hypergraph]:
     return keep
 
 
+def _copy_tables(
+    n: int, family: Family, deadline: Optional[float] = None
+) -> Iterator[Optional[list[list[tuple[int, ...]]]]]:
+    """Yield the copy table of K_k^r for k = 0..n: one list, grown in place.
+
+    table[j] lists, for each copy of a member _drop_redundant keeps whose
+    highest colex rank is j, the sorted ranks of its other edges.  Such a
+    copy lies in K_{max(e_j)+1}, so the table of K_k^r is that of K_{k-1}^r
+    plus the copies through vertex k - 1.  Injections of a member's
+    non-isolated vertices v_0, v_1, ... give the same copy exactly when they
+    differ by an automorphism, and only the least of each such coset is
+    enumerated: phi(v_p) < phi(v_q) whenever some automorphism fixing
+    v_0..v_{p-1} sends v_p to v_q.  Copies through vertex k - 1 are listed
+    by the position that goes there, so each copy is listed once, at about
+    one step per copy.  Yields None and stops once the clock passes
+    deadline (a time.monotonic() value, read at every copy).
+    """
+    r = family.r
+    rank: dict[int, int] = {}  # vertex mask -> colex rank of each edge so far
+
+    def automorphic(phi: list[int]) -> bool:
+        """Whether an automorphism of f sends order[i] to phi[i] for all i."""
+        if any(sum(1 << phi[p] for p in e) not in shadow for e in parts[len(phi) - 1]):
+            return False  # the placed part of some edge lies in no edge
+        return len(phi) == k or any(automorphic(phi + [u]) for u in order if u not in phi)
+
+    def place(q: int, used: int, ranks: list[int]) -> bool:
+        if q == k:
+            ranks = sorted(ranks)
+            table[ranks.pop()].append(tuple(ranks))
+            return deadline is None or time.monotonic() <= deadline
+        rests = [sum(bits[p] for p in e) for e in ends[q]]
+        # least in its coset: above the host vertex of every p in after[q]
+        low = max([bits[p] for p in after[q]], default=0).bit_length()
+        free = top if q == newest else host & ~used & -1 << low
+        while free:
+            bits[q] = bit = free & -free
+            free ^= bit
+            if not place(q + 1, used | bit, ranks + [rank[x | bit] for x in rests]):
+                return False
+        return True
+
+    members = []
+    for f in _drop_redundant(family):
+        order = f.non_isolated
+        k = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        # per position q, each edge through order[q] as its positions up to q
+        parts = [[[pos[u] for u in e if pos[u] <= q] for e in f.incident[v]]
+                 for q, v in enumerate(order)]
+        shadow = {vertex_mask(s) for e in f.edges
+                  for t in range(r) for s in combinations(e, t + 1)}
+        after = [[p for p in range(q) if automorphic([*order[:p], order[q]])]
+                 for q in range(k)]
+        # the edges completed at each position, as their other positions
+        ends = [[[p for p in e if p != q] for e in parts[q] if len(e) == r]
+                for q in range(k)]
+        # the positions that may take the newest host vertex, the largest
+        highs = [q for q in range(k) if not any(q in a for a in after)]
+        members.append((k, after, ends, highs))
+    table: list[list[tuple[int, ...]]] = []
+    yield table
+    for m in range(n):
+        host, top = (1 << m) - 1, 1 << m
+        for e in kn_edges(m, r - 1):  # the edges through m, in colex order
+            rank[vertex_mask(e) | top] = len(table)
+            table.append([])
+        for k, after, ends, highs in members:
+            bits = [0] * k  # 1 << the host vertex of each placed position
+            for newest in highs if k <= m + 1 else ():
+                if not place(0, 0, []):
+                    yield None
+                    return
+        yield table
+
+
+def _vetoed(copies: list[tuple[int, ...]], val: list[Optional[int]], c: int) -> bool:
+    """Whether some copy, given by the ranks of its other edges, has all of
+    them present in val with pairwise distinct colors other than c."""
+    for others in copies:
+        seen = {c}
+        for o in others:
+            x = val[o]
+            if x is None or x in seen:
+                break
+            seen.add(x)
+        else:
+            return True
+    return False
+
+
 def _bump(cnt: list[int], mask: int, d: int) -> None:
     """Add d to cnt[v] for every vertex v in mask."""
     while mask:
@@ -135,7 +224,7 @@ def _bump(cnt: list[int], mask: int, d: int) -> None:
 def _branch_and_bound(
     n: int,
     r: int,
-    matchers: list[RainbowEmbedder],
+    table: list[list[tuple[int, ...]]],
     choices: Callable[[int], Sequence[Optional[int]]],
     prune_bound: bool,
     below: Optional[int] = None,
@@ -147,8 +236,10 @@ def _branch_and_bound(
     Edge j gets each value of choices(top) in order, where top is the number
     of colors used on edges before j.  A value is None, which leaves the edge
     out, or a color in range(top + 1), where top itself is a fresh color.  A
-    color is vetoed when some matcher's anchored find completes a rainbow
-    copy through edge j.  A node is one value tried on one edge.  With
+    color is vetoed when some copy in table[j] (see _copy_tables) has all its
+    other edges present and, with the color, pairwise distinct colors; those
+    edges rank below j, so this asks whether the decided prefix holds a
+    rainbow copy through edge j.  A node is one value tried on one edge.  With
     prune_bound, a value that fits gets no subtree when a fresh color on
     every later edge could not beat the best leaf.  Both solvers pass True.
     False exists for differential tests: with the anti-Ramsey values and no
@@ -160,8 +251,8 @@ def _branch_and_bound(
     Stack invariant: an entry (j, top, i) tries value i of choices(top) on
     edge j, and i == len(choices(top)) leaves edge j.  The entry for i + 1
     sits below the subtree of value i, so the values run in order.  Every
-    edge before the one being tried holds its value in the mask-keyed dict
-    the matchers read; later edges are absent.
+    edge before the one being tried holds its value in a list indexed by
+    colex rank; the veto never reads the later ones.
 
     Edge 0 keeps the first value that fits: that value gets no sibling.  This
     is sound when the first value of choices(0) is color 0.  A leaf's color
@@ -199,9 +290,10 @@ def _branch_and_bound(
     first-edge rule or the color-count bound has already dropped.
 
     The search stops with status "budget_exhausted" at the first node past
-    max_nodes, or at a node at which the clock has passed deadline (a
-    time.monotonic() value, read on node 1 and every 1024 nodes after);
-    otherwise the status is "exact".  Returns (status, best, values, nodes):
+    max_nodes, or at the first node at which the clock has passed deadline
+    (a time.monotonic() value, read on node 1 and then each time the nodes
+    tried plus the copies in their table rows pass _CLOCK_TICKS); otherwise
+    the status is "exact".  Returns (status, best, values, nodes):
     the best leaf's color count (-1 if no leaf was reached), that leaf's
     values in colex order (None if none) and the nodes tried.
     """
@@ -209,9 +301,7 @@ def _branch_and_bound(
     M = len(edges)
     masks = [vertex_mask(e) for e in edges]
     options = [choices(top) for top in range(M + 1)]
-    finds = [em.find for em in matchers]
-    color_of: dict[int, Optional[int]] = {}  # vertex mask -> value of each decided edge
-    get = color_of.get
+    val: list[Optional[int]] = [None] * M  # colex rank -> value of each decided edge
 
     ladder = prune_bound and below is not None
     cap = M + 1  # no leaf reaches it: no stop
@@ -231,6 +321,7 @@ def _branch_and_bound(
     undo: list[Optional[tuple[int, Optional[int]]]] = [None] * M
 
     nodes = 0
+    ticks, late = 0, False  # read the clock once ticks runs out
     best = -1
     best_values: Optional[tuple[Optional[int], ...]] = None
     stack = [(0, 0, 0)] if best < cap else []
@@ -240,7 +331,7 @@ def _branch_and_bound(
         if j == M:
             if top > best:
                 best = top
-                best_values = tuple(map(get, masks))
+                best_values = tuple(val)
                 if best >= cap:
                     break
             continue
@@ -254,25 +345,19 @@ def _branch_and_bound(
                 common[c] = old
         opts = options[top]
         if i == len(opts):
-            del color_of[masks[j]]
             continue
         nodes += 1
-        if (max_nodes is not None and nodes > max_nodes) or (
-            deadline is not None
-            and nodes & _TIME_CHECK_MASK == 1
-            and time.monotonic() > deadline
-        ):
+        if deadline is not None:
+            ticks -= len(table[j]) + 1
+            if ticks < 0:
+                ticks = _CLOCK_TICKS
+                late = time.monotonic() > deadline
+        if late or (max_nodes is not None and nodes > max_nodes):
             status = "budget_exhausted"
             break
         c = opts[i]
-        color_of[masks[j]] = c
-        fits = True
-        if c is not None:
-            anchor = edges[j]
-            for find in finds:
-                if find(get, anchor=anchor)[0] is not None:
-                    fits = False
-                    break
+        val[j] = c
+        fits = c is None or not _vetoed(table[j], val, c)
         if j or not fits:
             stack.append((j, top, i + 1))
         if fits:
@@ -300,19 +385,19 @@ def _solve(
 ) -> SearchReport:
     """Run one solver: the one path from patterns to a report.
 
-    Checks the input, builds one anchored matcher per member _drop_redundant
-    keeps, fewest edges first, and climbs the ladder k = r..n with the
-    problem's values: (top, None) for "turan", range(top + 1) for
-    "anti_ramsey".  Rung k runs _branch_and_bound on k vertices with below
-    set to the value of rung k - 1 and the matchers that fit in k; the
-    matchers are built for n and read only the mask-keyed edges of the rung,
-    so they answer for the smaller host too.  A rung below n on which no
-    matcher fits is not searched: every coloring with distinct colors is a
-    leaf, so its value is C(k, r).  The budget covers the whole climb: every
-    rung runs against one deadline, start + max_seconds, and may try the
-    nodes the rungs before it left of max_nodes, so the report's nodes are
-    summed over the rungs.  A rung that runs out ends the run with value
-    None; a run that ends below n has no witness for n.  A turan leaf
+    Checks the input and climbs the ladder k = r..n with the problem's
+    values: (top, None) for "turan", range(top + 1) for "anti_ramsey".  Rung
+    k runs _branch_and_bound on k vertices with below set to the value of
+    rung k - 1 and the copy table of K_k^r, which _copy_tables grows by the
+    copies through one more vertex before each rung, so no copy is listed
+    twice and none beyond the last rung reached.  A rung below n on which no
+    member fits is not searched: every coloring with distinct colors is a
+    leaf, so its value is C(k, r).  The budget covers the whole climb: the
+    tables and every rung run against one deadline, start + max_seconds, and
+    each rung may try the nodes the rungs before it left of max_nodes, so
+    the report's nodes are summed over the rungs.  A rung that runs out,
+    searching or listing its copies, ends the run with value None; a run
+    that ends below n has no witness for n.  A turan leaf
     becomes the Hypergraph of its chosen edges; an anti_ramsey leaf becomes
     a Coloring, and the value is one more than its color count.  The
     instance records as "below" the value rung n leaned on, or None.
@@ -324,22 +409,25 @@ def _solve(
         where = "contained in every graph" if turan else "rainbow in every coloring"
         raise ValueError(f"an edgeless pattern is {where}")
     r = family.r
-    matchers = [RainbowEmbedder(n, m) for m in _drop_redundant(family)]
-    matchers.sort(key=lambda em: (em.f.num_edges, em.f.n))
     choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
     budget = budget or SearchBudget()
     max_nodes, secs = budget.max_nodes, budget.max_seconds
     start = time.monotonic()
     deadline = None if secs is None else start + secs
-    nodes, below = 0, None
-    for k in range(min(r, n), n + 1):
-        fitting = [em for em in matchers if len(em.f.non_isolated) <= k]
-        if k < n and not fitting:
+    smallest = min(len(m.non_isolated) for m in family.members)
+    nodes, below, best, values = 0, None, -1, None
+    for k, table in enumerate(_copy_tables(n, family, deadline)):
+        if table is None:  # the clock ran out while listing the copies of K_k^r
+            status, values = "budget_exhausted", None
+            break
+        if k < min(r, n):
+            continue
+        if k < n and k < smallest:
             below = comb(k, r)
             continue
         left = None if max_nodes is None else max_nodes - nodes
         status, best, values, spent = _branch_and_bound(
-            k, r, fitting, choices, True, below, left, deadline
+            k, r, table, choices, True, below, left, deadline
         )
         nodes += spent
         if status != "exact" or k == n:
@@ -401,9 +489,9 @@ def exact_anti_ramsey(
 def verify_feasibility(report: SearchReport) -> bool:
     """Re-check a report's witness along an independent path.
 
-    Turan witnesses are re-tested with has_copy, a free (unanchored) search
-    over the whole witness rather than the solver's anchored checks; coloring
-    witnesses with the from-scratch rainbow search.  Only feasibility
+    Turan witnesses are re-tested with has_copy, a free search over the
+    whole witness rather than the solver's copy table; coloring witnesses
+    with the from-scratch rainbow search.  Only feasibility
     is certified here (the witness attains the claimed value and satisfies
     the constraint), not optimality.
     """

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: permutations instead of backtracking,
 full subset or partition enumeration instead of branch and bound.  The test
 suite trusts these on tiny instances and measures the real implementations
-against them.
+against them.  copy_table is the one exception: it runs the solver's own
+table builder, for tests that drive _branch_and_bound directly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from math import comb
 from typing import Iterator, Optional, Sequence
 
 from arl.coloring import Coloring, make_coloring
-from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_hypergraph
+from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_family, make_hypergraph
+from arl.search import _copy_tables
 
 
 def naive_embeddings(f: Hypergraph, h: Hypergraph) -> list[dict[int, int]]:
@@ -67,6 +69,23 @@ def naive_has_anchored_rainbow(
         if None not in cols and len(set(cols)) == len(cols):
             return True
     return False
+
+
+def copy_table(n: int, patterns: Sequence[Hypergraph]) -> list[list[tuple[int, ...]]]:
+    """The solver's copy table of K_n^r for the patterns, the last that
+    _copy_tables yields."""
+    *_, table = _copy_tables(n, make_family(list(patterns)))
+    return table
+
+
+def brute_automorphisms(h: Hypergraph) -> set[tuple[int, ...]]:
+    """Every vertex permutation p of h (p[v] the image of v) that maps edges
+    to edges."""
+    return {
+        p
+        for p in itertools.permutations(range(h.n))
+        if all(tuple(sorted(p[v] for v in e)) in h.edge_set for e in h.edges)
+    }
 
 
 def brute_ex(n: int, patterns: Sequence[Hypergraph], r: int) -> int:

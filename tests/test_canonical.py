@@ -14,7 +14,6 @@ from arl.canonical import (
     distinct_classes,
     orbit,
 )
-from arl.coloring import RainbowEmbedder
 from arl.constructions import (
     complete_graph,
     complete_hypergraph,
@@ -24,6 +23,7 @@ from arl.constructions import (
     turan_hypergraph,
 )
 from arl.hypergraph import kn_edges, make_hypergraph, relabel
+from helpers import brute_automorphisms
 
 
 def random_perm(rng, n):
@@ -163,14 +163,6 @@ def close_group(gens, n):
     return group
 
 
-def brute_automorphisms(h):
-    return {
-        p
-        for p in itertools.permutations(range(h.n))
-        if all(tuple(sorted(p[v] for v in e)) in h.edge_set for e in h.edges)
-    }
-
-
 PATTERNS = [
     ("K2", named_hypergraph("K2"), 2),
     ("K3", named_hypergraph("K3"), 6),
@@ -224,15 +216,3 @@ class TestOrbit:
             assert orbit([v], gens) == {p[v] for p in group}
         for t in ordered_edges(h):
             assert orbit([t], gens, on_tuple) == {on_tuple(p, t) for p in group}
-
-    @pytest.mark.parametrize("name, h, order", PATTERNS)
-    def test_anchored_plans_one_seed_per_edge_orbit(self, name, h, order):
-        group = brute_automorphisms(h)
-        orbits = {frozenset(on_tuple(p, t) for p in group) for t in ordered_edges(h)}
-        plans = RainbowEmbedder(h.n, h).anchored_plans
-        seeds = [t for plan_seeds, _, _ in plans for t in plan_seeds]
-        assert len(seeds) == len(orbits)
-        assert all(sum(t in o for t in seeds) == 1 for o in orbits)
-        # every seed orders the pattern edge its plan is anchored on
-        for plan_seeds, plan_order, _ in plans:
-            assert all(sorted(t) == sorted(plan_order[: len(t)]) for t in plan_seeds)

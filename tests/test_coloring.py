@@ -1,11 +1,10 @@
 import random
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import arl.coloring
 from arl.coloring import (
     BudgetExhausted,
     Coloring,
@@ -26,18 +25,21 @@ from arl.constructions import (
     path_graph,
     single_edge,
     turan_count,
-    turan_hypergraph,
 )
 from arl.hypergraph import (
     Embedding,
     colex_rank,
-    has_copy,
     kn_edges,
     make_family,
     make_hypergraph,
-    vertex_mask,
 )
-from helpers import naive_has_anchored_rainbow, naive_has_rainbow
+from arl.search import _vetoed
+from helpers import (
+    brute_automorphisms,
+    copy_table,
+    naive_has_anchored_rainbow,
+    naive_has_rainbow,
+)
 
 K3 = complete_graph(3)
 
@@ -234,33 +236,36 @@ class TestAnchoredFind:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_against_naive_every_anchor(self, name, data):
+        # the solver asks the veto at edge j with every edge above j still
+        # blank, so a rainbow copy through edge j is one whose top edge is j
         f = ANCHORED_PATTERNS[name]
         n, colors = data.draw(partial_colorings(f.r))
-        color_of = {vertex_mask(e): c for e, c in zip(kn_edges(n, f.r), colors)}
-        engine = RainbowEmbedder(n, f)
-        for anchor in kn_edges(n, f.r):
-            hit, _ = engine.find(color_of.get, anchor=anchor)
-            assert (hit is not None) == naive_has_anchored_rainbow(n, f, colors, anchor)
-            if hit is not None:
-                imgs = hit.image_edges(f)
-                assert anchor in imgs
-                assert len({colors[colex_rank(img)] for img in imgs}) == f.num_edges
+        table = copy_table(n, [f])
+        for j, anchor in enumerate(kn_edges(n, f.r)):
+            prefix = colors[: j + 1] + [None] * (len(colors) - j - 1)
+            c = colors[j]
+            vetoed = c is not None and _vetoed(table[j], prefix, c)
+            assert vetoed == naive_has_anchored_rainbow(n, f, prefix, anchor)
 
-    def test_free_callers_never_compute_automorphisms(self, monkeypatch):
-        class AutomorphismsComputed(Exception):
-            pass
+    @pytest.mark.parametrize("name", sorted(ANCHORED_PATTERNS))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_copy_table_lists_each_copy_once(self, name, n):
+        # injections of the v non-isolated vertices that differ by an
+        # automorphism give the same copy, so K_n^r holds P(n, v) / |Aut|
+        f = ANCHORED_PATTERNS[name]
+        pos = {v: i for i, v in enumerate(f.non_isolated)}
+        core = make_hypergraph(len(pos), f.r, [tuple(pos[v] for v in e) for e in f.edges])
+        table = copy_table(n, [f])
+        assert len(table) == comb(n, f.r)
+        listed = [(j, others) for j, row in enumerate(table) for others in row]
+        assert len(listed) == perm(n, core.n) // len(brute_automorphisms(core))
+        assert len(set(listed)) == len(listed)
+        assert all(list(others) == sorted(set(others)) and all(o < j for o in others)
+                   for j, others in listed)
 
-        def refuse(h):
-            raise AutomorphismsComputed
-
-        monkeypatch.setattr(arl.coloring, "automorphism_generators", refuse)
-        host = turan_hypergraph(9, 3, 3)
-        assert has_copy(expansion(complete_graph(4), 3), host) is False
-        assert has_copy(complete_hypergraph(4, 3), host) is False
-        assert find_rainbow_copy(layered_coloring(7, 3), expansion(complete_graph(4), 3)) is None
-        # the anchored path does reach the patched name
-        with pytest.raises(AutomorphismsComputed):
-            RainbowEmbedder(4, K3).find(lambda m: m, anchor=(0, 1))
+    def test_find_refuses_an_anchor(self):
+        with pytest.raises(ValueError, match="anchor"):
+            RainbowEmbedder(4, K3).find(lambda m: m, (0, 1))
 
 
 class TestWitnessType:

@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from arl.constructions import (
     single_edge,
     turan_count,
 )
-from arl.coloring import RainbowEmbedder, find_rainbow_copy
+from arl.coloring import find_rainbow_copy
 from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph
 from arl.search import (
     SearchBudget,
@@ -23,7 +24,7 @@ from arl.search import (
     exact_turan,
     verify_feasibility,
 )
-from helpers import brute_ar, brute_ex, set_partitions
+from helpers import brute_ar, brute_ex, copy_table, set_partitions
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -34,9 +35,8 @@ def unbounded_ar(n, pattern):
     """The anti-Ramsey loop with the color-count bound off, as (status, best,
     values, nodes): best is the largest rainbow-free color count, one less
     than ar."""
-    return _branch_and_bound(
-        n, pattern.r, [RainbowEmbedder(n, pattern)], lambda top: range(top + 1), False
-    )
+    table = copy_table(n, [pattern])
+    return _branch_and_bound(n, pattern.r, table, lambda top: range(top + 1), False)
 
 
 def random_pattern(rng, r, max_v=5):
@@ -135,20 +135,11 @@ class TestExactTuran:
 
     def test_redundant_members_dropped(self):
         # K4 contains K3, so forbidding K3 already forbids K4: only K3 is
-        # kept, and the search builds one embedder instead of two
+        # kept, and the copy table lists the copies of K3 alone
         assert _drop_redundant(make_family([K3, K4])) == [K3]
         assert _drop_redundant(make_family([K4, K3])) == [K3]
-        built = []
-
-        class CountingEmbedder(RainbowEmbedder):
-            def __init__(self, n, f):
-                built.append(f)
-                super().__init__(n, f)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("arl.search.RainbowEmbedder", CountingEmbedder)
-            b = exact_turan(5, [K3, K4])
-        assert built == [K3]
+        assert copy_table(5, [K3, K4]) == copy_table(5, [K3])
+        b = exact_turan(5, [K3, K4])
         a = exact_turan(5, [K3])
         assert a.value == b.value and a.nodes == b.nodes
 
@@ -275,6 +266,57 @@ def test_budget_exhaustion_on_deep_host():
     assert verify_feasibility(ex_rep) and verify_feasibility(ar_rep)
 
 
+HK4 = expansion(K4, 3)  # 10 vertices, 151,200 copies in K_10^3
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda budget: exact_turan(10, [HK4], budget=budget),
+        lambda budget: exact_anti_ramsey(10, HK4, budget=budget),
+    ],
+    ids=["turan", "anti_ramsey"],
+)
+def test_time_budget_covers_the_copy_table(solve):
+    # building the table takes longer than the budget, so the build reads
+    # the deadline too and the run stops before its first node
+    start = time.monotonic()
+    rep = solve(SearchBudget(max_seconds=0.2))
+    assert time.monotonic() - start < 1.0
+    assert rep.status == "budget_exhausted" and rep.value is None and rep.nodes == 0
+    assert verify_feasibility(rep)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda budget: exact_turan(120, [K3], budget=budget),
+        lambda budget: exact_anti_ramsey(120, K3, budget=budget),
+    ],
+    ids=["turan", "anti_ramsey"],
+)
+def test_node_budget_bounds_the_copy_table(solve):
+    # K_120^3 holds 280,840 triangles, but the rungs a node cap reaches need
+    # only the copies on their own few vertices
+    start = time.monotonic()
+    rep = solve(SearchBudget(max_nodes=10))
+    assert time.monotonic() - start < 1.0
+    assert rep.status == "budget_exhausted" and rep.nodes == 11
+    assert verify_feasibility(rep)
+
+
+def test_loop_reads_the_clock_by_work():
+    # an anti-Ramsey node on this table scans thousands of copies, so a
+    # clock read every fixed number of nodes would overshoot by seconds
+    table = copy_table(10, [HK4])
+    start = time.monotonic()
+    status, _, _, nodes = _branch_and_bound(
+        10, 3, table, lambda top: range(top + 1), True, deadline=start + 0.2
+    )
+    assert time.monotonic() - start < 1.0
+    assert status == "budget_exhausted" and nodes > 1
+
+
 def bell(m):
     return sum(1 for _ in set_partitions(m))
 
@@ -365,8 +407,8 @@ def run_loop(n, fam, turan, below=None, **budget):
     """The loop on n vertices with the solver's values and bound, leaning on
     below when it is given, as (status, best, values, nodes)."""
     choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
-    matchers = [RainbowEmbedder(n, f) for f in fam]
-    return _branch_and_bound(n, fam[0].r, matchers, choices, True, below, **budget)
+    table = copy_table(n, fam)
+    return _branch_and_bound(n, fam[0].r, table, choices, True, below, **budget)
 
 
 CHERRY = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
