@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from arl.constructions import (
     turan_hypergraph,
 )
 from arl.hypergraph import kn_edges, make_hypergraph, relabel
-from helpers import brute_automorphisms
+from helpers import brute_automorphisms, copy_table
 
 
 def random_perm(rng, n):
@@ -216,3 +216,36 @@ class TestOrbit:
             assert orbit([v], gens) == {p[v] for p in group}
         for t in ordered_edges(h):
             assert orbit([t], gens, on_tuple) == {on_tuple(p, t) for p in group}
+
+    @pytest.mark.parametrize("name, h, order", PATTERNS)
+    def test_anchored_plans_one_seed_per_edge_orbit(self, name, h, order):
+        # the solver's anchored question at edge j reads row j of the copy
+        # table; in K_m^r, m = v(core), the row at the top edge lists each
+        # copy through it once, and each edge orbit O of the core lands on
+        # the top edge in |O| r! (m - r)! / |Aut| of those copies
+        pos = {v: i for i, v in enumerate(h.non_isolated)}
+        core = make_hypergraph(len(pos), h.r, [tuple(pos[v] for v in e) for e in h.edges])
+        m, r = core.n, core.r
+        pool = kn_edges(m, r)
+        top = pool[-1]
+        row = copy_table(m, [h])[-1]
+        listed = [frozenset([top, *(pool[o] for o in others)]) for others in row]
+        assert len(set(listed)) == len(listed)
+
+        def on_edge(g, e):
+            return tuple(sorted(g[v] for v in e))
+
+        gens = automorphism_generators(core)
+        group = brute_automorphisms(core)
+        orbits = {frozenset(orbit([e], gens, on_edge)) for e in core.edges}
+        through = {}  # copy through the top edge -> orbit of the edge sent there
+        for p in itertools.permutations(range(m)):
+            image = frozenset(on_edge(p, e) for e in core.edges)
+            for e in core.edges:
+                if on_edge(p, e) == top:
+                    o = next(o for o in orbits if e in o)
+                    assert through.setdefault(image, o) == o
+        assert set(listed) == set(through)
+        for o in orbits:
+            seeded = sum(through[c] == o for c in listed)
+            assert seeded * len(group) == len(o) * factorial(r) * factorial(m - r)

@@ -1,10 +1,13 @@
 import random
+import sys
 from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arl.canonical
+import arl.search
 from arl.coloring import (
     BudgetExhausted,
     Coloring,
@@ -25,10 +28,12 @@ from arl.constructions import (
     path_graph,
     single_edge,
     turan_count,
+    turan_hypergraph,
 )
 from arl.hypergraph import (
     Embedding,
     colex_rank,
+    has_copy,
     kn_edges,
     make_family,
     make_hypergraph,
@@ -262,6 +267,43 @@ class TestAnchoredFind:
         assert len(set(listed)) == len(listed)
         assert all(list(others) == sorted(set(others)) and all(o < j for o in others)
                    for j, others in listed)
+
+    def test_free_callers_never_compute_automorphisms(self):
+        # the free find behind has_copy and find_rainbow_copy runs no code
+        # of arl.canonical and not the coset search of the copy table,
+        # which only the solver builds
+        called = set()
+
+        def watch(frame, event, arg):
+            if event == "call":
+                called.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+        def run(fn):
+            called.clear()
+            sys.setprofile(watch)
+            try:
+                return fn()
+            finally:
+                sys.setprofile(None)
+
+        def automorphisms_computed():
+            return any(path == arl.canonical.__file__
+                       or (path, name) == (arl.search.__file__, "automorphic")
+                       for path, name in called)
+
+        host = turan_hypergraph(9, 3, 3)
+        assert run(lambda: has_copy(expansion(complete_graph(4), 3), host)) is False
+        assert not automorphisms_computed()
+        assert run(lambda: has_copy(complete_hypergraph(4, 3), host)) is False
+        assert not automorphisms_computed()
+        assert run(lambda: find_rainbow_copy(
+            layered_coloring(7, 3), expansion(complete_graph(4), 3))) is None
+        assert not automorphisms_computed()
+        # the watch does see both kinds of automorphism code
+        run(lambda: arl.canonical.automorphism_generators(K3))
+        assert automorphisms_computed()
+        run(lambda: copy_table(4, [K3]))
+        assert automorphisms_computed()
 
     def test_find_refuses_an_anchor(self):
         with pytest.raises(ValueError, match="anchor"):
