@@ -94,33 +94,7 @@ class SearchReport:
 
 
 def _coerce_family(patterns: Union[Hypergraph, Family, Iterable[Hypergraph]]) -> Family:
-    if isinstance(patterns, Hypergraph):
-        return make_family([patterns])
-    if isinstance(patterns, Family):
-        return patterns
-    return make_family(list(patterns))
-
-
-def _drop_redundant(fam: Family) -> list[Hypergraph]:
-    """Keep only members minimal under the subgraph order.
-
-    If pattern a embeds into pattern b, any host containing b contains a, so
-    forbidding a already forbids b and b can be dropped.  Purely a speedup;
-    the feasibility predicate is unchanged.
-    """
-    members = list(fam.members)
-    keep = []
-    for i, m in enumerate(members):
-        dominated = False
-        for j, other in enumerate(members):
-            if i == j:
-                continue
-            if has_copy(other, m) and not (has_copy(m, other) and j > i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(m)
-    return keep
+    return make_family([patterns] if isinstance(patterns, Hypergraph) else patterns)
 
 
 def _copy_tables(
@@ -128,23 +102,30 @@ def _copy_tables(
 ) -> Iterator[Optional[list[list[tuple[int, ...]]]]]:
     """Yield the copy table of K_k^r for k = 0..n: one list, grown in place.
 
-    table[j] lists, for each copy of a member _drop_redundant keeps whose
-    highest colex rank is j, the sorted ranks of its other edges.  Such a
-    copy lies in K_{max(e_j)+1}, so the table of K_k^r is that of K_{k-1}^r
-    plus the copies through vertex k - 1.  Injections of a member's
-    non-isolated vertices v_0, v_1, ... give the same copy exactly when they
-    differ by an automorphism, and only the least of each such coset is
-    enumerated: phi(v_p) < phi(v_q) whenever some automorphism fixing
-    v_0..v_{p-1} sends v_p to v_q.  Copies through vertex k - 1 are listed
-    by the position that goes there, so each copy is listed once, at about
-    one step per copy.  Yields None and stops once the clock passes
-    deadline (a time.monotonic() value, read at every copy).
+    table[j] lists, for each copy of a member whose highest colex rank is j,
+    the sorted ranks of its other edges.  Such a copy lies in K_{max(e_j)+1},
+    so the table of K_k^r is that of K_{k-1}^r plus the copies through vertex
+    k - 1.  Injections of a member's non-isolated vertices v_0, v_1, ... give
+    the same copy exactly when they differ by an automorphism, and only the
+    least of each such coset is enumerated: phi(v_p) < phi(v_q) whenever some
+    automorphism fixing v_0..v_{p-1} sends v_p to v_q.  Copies through vertex
+    k - 1 are listed by the position that goes there, so each copy is listed
+    once, at about one step per copy.  Members with more than n non-isolated
+    vertices are skipped.  If member a embeds in member b, b vetoes nothing a
+    does not: a copy of b that vetoes a color at its top edge j holds an
+    a-copy whose edges are present in distinct colors; its top edge is j, as
+    a's veto would have refused the value on any earlier top edge, so a's veto
+    fires at j too.  Yields None and stops once the clock passes deadline (a
+    time.monotonic() value, read at every copy, at every step of the symmetry
+    setup and after it).
     """
     r = family.r
     rank: dict[int, int] = {}  # vertex mask -> colex rank of each edge so far
 
     def automorphic(phi: list[int]) -> bool:
         """Whether an automorphism of f sends order[i] to phi[i] for all i."""
+        if deadline is not None and time.monotonic() > deadline:
+            return False  # out of time; None is yielded after the setup
         if any(sum(1 << phi[p] for p in e) not in shadow for e in parts[len(phi) - 1]):
             return False  # the placed part of some edge lies in no edge
         return len(phi) == k or any(automorphic(phi + [u]) for u in order if u not in phi)
@@ -166,7 +147,7 @@ def _copy_tables(
         return True
 
     members = []
-    for f in _drop_redundant(family):
+    for f in [f for f in family.members if len(f.non_isolated) <= n]:
         order = f.non_isolated
         k = len(order)
         pos = {v: i for i, v in enumerate(order)}
@@ -183,6 +164,9 @@ def _copy_tables(
         # the positions that may take the newest host vertex, the largest
         highs = [q for q in range(k) if not any(q in a for a in after)]
         members.append((k, after, ends, highs))
+    if deadline is not None and time.monotonic() > deadline:
+        yield None
+        return
     table: list[list[tuple[int, ...]]] = []
     yield table
     for m in range(n):
@@ -393,11 +377,11 @@ def _solve(
     twice and none beyond the last rung reached.  A rung below n on which no
     member fits is not searched: every coloring with distinct colors is a
     leaf, so its value is C(k, r).  The budget covers the whole climb: the
-    tables and every rung run against one deadline, start + max_seconds, and
-    each rung may try the nodes the rungs before it left of max_nodes, so
-    the report's nodes are summed over the rungs.  A rung that runs out,
-    searching or listing its copies, ends the run with value None; a run
-    that ends below n has no witness for n.  A turan leaf
+    tables, their setup and every rung run against one deadline, start +
+    max_seconds, and each rung may try the nodes the rungs before it left of
+    max_nodes, so the report's nodes are summed over the rungs.  A rung that
+    runs out, searching or listing its copies, ends the run with value None;
+    a run that ends below n has no witness for n.  A turan leaf
     becomes the Hypergraph of its chosen edges; an anti_ramsey leaf becomes
     a Coloring, and the value is one more than its color count.  The
     instance records as "below" the value rung n leaned on, or None.
@@ -417,7 +401,7 @@ def _solve(
     smallest = min(len(m.non_isolated) for m in family.members)
     nodes, below, best, values = 0, None, -1, None
     for k, table in enumerate(_copy_tables(n, family, deadline)):
-        if table is None:  # the clock ran out while listing the copies of K_k^r
+        if table is None:  # the clock ran out setting up or listing the copies of K_k^r
             status, values = "budget_exhausted", None
             break
         if k < min(r, n):

@@ -19,7 +19,7 @@ from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph
 from arl.search import (
     SearchBudget,
     _branch_and_bound,
-    _drop_redundant,
+    _copy_tables,
     exact_anti_ramsey,
     exact_turan,
     verify_feasibility,
@@ -28,7 +28,10 @@ from helpers import brute_ar, brute_ex, copy_table, set_partitions
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
+C4 = cycle_graph(4)
 DIAMOND = make_hypergraph(4, 2, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+BOOK3 = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
+K4_3 = complete_hypergraph(4, 3)
 
 
 def unbounded_ar(n, pattern):
@@ -133,15 +136,26 @@ class TestExactTuran:
             if rep.value:
                 assert kn_edges(n, r)[0] in rep.witness.edge_set
 
-    def test_redundant_members_dropped(self):
-        # K4 contains K3, so forbidding K3 already forbids K4: only K3 is
-        # kept, and the copy table lists the copies of K3 alone
-        assert _drop_redundant(make_family([K3, K4])) == [K3]
-        assert _drop_redundant(make_family([K4, K3])) == [K3]
-        assert copy_table(5, [K3, K4]) == copy_table(5, [K3])
-        b = exact_turan(5, [K3, K4])
-        a = exact_turan(5, [K3])
-        assert a.value == b.value and a.nodes == b.nodes
+    @pytest.mark.parametrize(
+        "n, fam, minimal",
+        [pytest.param(n, [K3, K4], [K3], id=f"K3,K4-{n}") for n in range(4, 9)]
+        + [
+            pytest.param(5, [K4, K3], [K3], id="K4,K3-5"),
+            pytest.param(7, [C4, K4], [C4], id="C4,K4-7"),
+            pytest.param(6, [BOOK3, K4_3], [BOOK3], id="book3,K4^3-6"),
+            pytest.param(7, [BOOK3, K4_3], [BOOK3], id="book3,K4^3-7"),
+        ],
+    )
+    def test_nested_members_match_the_minimal_family(self, n, fam, minimal):
+        # every member is in the copy table, but a member that contains
+        # another vetoes nothing the smaller one does not (see _copy_tables),
+        # so the search is the one for the minimal members alone
+        b = exact_turan(n, fam)
+        a = exact_turan(n, minimal)
+        assert b.status == a.status == "exact"
+        assert (b.value, b.nodes) == (a.value, a.nodes)
+        assert b.witness.edges == a.witness.edges
+        assert verify_feasibility(b)
 
     def test_time_budget(self):
         # the clock is read on the first node, so a run shorter than the
@@ -284,6 +298,58 @@ def test_time_budget_covers_the_copy_table(solve):
     rep = solve(SearchBudget(max_seconds=0.2))
     assert time.monotonic() - start < 1.0
     assert rep.status == "budget_exhausted" and rep.value is None and rep.nodes == 0
+    assert verify_feasibility(rep)
+
+
+def complete_bipartite(a, b):
+    return make_hypergraph(a + b, 2, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+HK5 = expansion(complete_graph(5), 3)  # 15 vertices
+HK33 = expansion(complete_bipartite(3, 3), 3)  # 15 vertices
+HK44 = expansion(complete_bipartite(4, 4), 3)  # 24 vertices, 1,152 automorphisms
+
+
+def test_time_budget_covers_a_family():
+    # a solve reads its budget from its first step, so no work on these two
+    # 15-vertex members runs before the clock is read
+    start = time.monotonic()
+    rep = exact_turan(15, [HK5, HK33], budget=SearchBudget(max_seconds=0.1))
+    assert time.monotonic() - start < 1.0
+    assert rep.status == "budget_exhausted" and rep.value is None
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda budget: exact_turan(24, [HK44], budget=budget),
+        lambda budget: exact_anti_ramsey(24, HK44, budget=budget),
+    ],
+    ids=["turan", "anti_ramsey"],
+)
+def test_time_budget_covers_the_symmetry_setup(solve):
+    # the coset setup is exponential on expansions of bipartite graphs, so
+    # it reads the deadline too and the run stops before its first table
+    start = time.monotonic()
+    rep = solve(SearchBudget(max_seconds=0.2))
+    assert time.monotonic() - start < 1.0
+    assert rep.status == "budget_exhausted" and rep.value is None and rep.nodes == 0
+
+
+def test_copy_tables_read_the_clock_before_the_first_table():
+    # a setup that ran past the deadline may have cut its coset search
+    # short, so no table is yielded after it
+    tables = _copy_tables(5, make_family([K3]), deadline=time.monotonic() - 1)
+    assert next(tables) is None
+    assert next(tables, "stopped") == "stopped"
+
+
+def test_member_larger_than_the_host_is_not_set_up():
+    # HK44 has 24 vertices, so no copy fits in K_8^3 and every triple is kept
+    start = time.monotonic()
+    rep = exact_turan(8, [HK44])
+    assert time.monotonic() - start < 1.0
+    assert rep.status == "exact" and rep.value == comb(8, 3) == 56
     assert verify_feasibility(rep)
 
 
