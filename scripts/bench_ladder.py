@@ -2,9 +2,15 @@
 """Time the exact-solve ladder and write BENCH_<label>.json.
 
 Runs ex(8,K3), ex(8,K4), ex(8,C4), ex(7,K4^3), ar(5,K4), ar(6,K3) and
-ar(6,K4), each three times under a 60 s budget, and records per instance
+ar(6,K4), each five times under a 60 s budget, and records per instance
 the value, status, solver nodes (summed over the rungs of the climb) and
-the median wall time.  It also records src_lines, the line count of the
+the median wall time.  Four rows outside the solver follow, also timed five
+times each: the splitting family of expansion(C6,3), the minus family of
+expansion(K8,3), find_rainbow_copy of K5 in the lower-bound coloring on
+T(12,3) (the Turan graph's edges in distinct colors, every other pair in one
+more), and has_copy of expansion(K5,3) in the empty 15-vertex 3-graph.  Each
+records its result and, for the last two, the node count of
+RainbowEmbedder.find.  It also records src_lines, the line count of the
 library's *.py files, so code size is tracked next to the timings.
 Run it as:
 
@@ -24,10 +30,20 @@ import time
 from pathlib import Path
 
 import arl
-from arl.constructions import complete_graph, complete_hypergraph, cycle_graph
+from arl.coloring import RainbowEmbedder, find_rainbow_copy, make_coloring
+from arl.constructions import (
+    complete_graph,
+    complete_hypergraph,
+    cycle_graph,
+    expansion,
+    minus_family,
+    splitting_family,
+    turan_hypergraph,
+)
+from arl.hypergraph import has_copy, kn_edges, make_hypergraph, vertex_mask
 from arl.search import SearchBudget, exact_anti_ramsey, exact_turan
 
-K3, K4, C4 = complete_graph(3), complete_graph(4), cycle_graph(4)
+K3, K4, K5, C4 = complete_graph(3), complete_graph(4), complete_graph(5), cycle_graph(4)
 K4_3 = complete_hypergraph(4, 3)
 LADDER = [
     ("ex(8,K3)", lambda b: exact_turan(8, [K3], budget=b)),
@@ -38,8 +54,38 @@ LADDER = [
     ("ar(6,K3)", lambda b: exact_anti_ramsey(6, K3, budget=b)),
     ("ar(6,K4)", lambda b: exact_anti_ramsey(6, K4, budget=b)),
 ]
-REPEATS = 3
+REPEATS = 5
 MAX_SECONDS = 60.0
+
+
+def lower_bound_coloring(n: int, ell: int, r: int):
+    """T_r(n, ell)'s edges in distinct colors, every other edge in one more."""
+    host = turan_hypergraph(n, ell, r).edge_set
+    ids: dict = {}
+    return make_coloring(n, r, [ids.setdefault(e if e in host else "rest", len(ids))
+                                for e in kn_edges(n, r)])
+
+
+def find_nodes(n, f, colors: dict) -> int:
+    """Nodes of the free search for f in K_n^r, colors keyed by vertex mask."""
+    return RainbowEmbedder(n, f).find(colors.get)[1]
+
+
+HK5, EMPTY15 = expansion(K5, 3), make_hypergraph(15, 3, [])
+K5_T = lower_bound_coloring(12, 3, 2)
+K5_T_COLORS = {vertex_mask(e): c for e, c in zip(kn_edges(12, 2), K5_T.colors)}
+# name, operation, result summary, node count of its find (or None)
+OUTSIDE = [
+    ("splitting_family(expansion(C6,3))",
+     lambda: splitting_family(expansion(cycle_graph(6), 3)), len, None),
+    ("minus_family(expansion(K8,3))",
+     lambda: minus_family(expansion(complete_graph(8), 3)), len, None),
+    ("find_rainbow_copy(K5, T(12,3) coloring)",
+     lambda: find_rainbow_copy(K5_T, K5), lambda w: w is not None,
+     lambda: find_nodes(12, K5, K5_T_COLORS)),
+    ("has_copy(expansion(K5,3), empty K_15^3)",
+     lambda: has_copy(HK5, EMPTY15), bool, lambda: find_nodes(15, HK5, {})),
+]
 
 
 def src_lines() -> int:
@@ -71,6 +117,23 @@ def main() -> int:
         print(f"{name:<11} value={reports[0].value} status={reports[0].status} "
               f"nodes={reports[0].nodes} wall_s={statistics.median(walls):.2f}", flush=True)
 
+    outside = {}
+    for name, op, summary, nodes in OUTSIDE:
+        walls = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            result = op()
+            walls.append(time.perf_counter() - t0)
+        outside[name] = {
+            "result": summary(result),
+            "find_nodes": None if nodes is None else nodes(),
+            "wall_s": statistics.median(walls),
+            "wall_s_runs": walls,
+        }
+        print(f"{name:<40} result={outside[name]['result']} "
+              f"find_nodes={outside[name]['find_nodes']} "
+              f"wall_s={statistics.median(walls):.4f}", flush=True)
+
     out = {
         "label": args.label,
         "budget_s": MAX_SECONDS,
@@ -79,6 +142,7 @@ def main() -> int:
         "cpus": os.cpu_count(),
         "src_lines": src_lines(),
         "instances": rows,
+        "outside_solver": outside,
     }
     path = f"BENCH_{args.label}.json"
     with open(path, "w") as fh:

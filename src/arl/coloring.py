@@ -174,6 +174,14 @@ class RainbowEmbedder:
     has its own color (see has_copy).  The plan is built here, so callers can
     run find many times cheaply; the exact solvers read a copy table instead
     (see search._copy_tables).
+
+    Vertices are placed in a fixed order.  Next comes the vertex with the
+    most edges whose other vertices are all placed; ties go to the most
+    edges that meet a placed vertex, then to the highest degree, then to the
+    least label.  Completing an edge is what lets the search check a color:
+    in expansion(K5, 3) the padding vertex of the first two core vertices'
+    edge comes third, where counting met edges alone placed all five core
+    vertices first.
     """
 
     def __init__(self, n: int, f: Hypergraph):
@@ -182,19 +190,24 @@ class RainbowEmbedder:
         order: list[int] = []
         placed: set[int] = set()
         remaining = list(f.non_isolated)
+
+        def rank(v: int) -> tuple[int, int, int, int]:
+            meets = [len(placed.intersection(e)) for e in f.incident[v]]
+            return (meets.count(f.r - 1), sum(map(bool, meets)), f.degrees[v], -v)
+
         while remaining:
-            nxt = max(
-                remaining,
-                key=lambda v: (
-                    sum(1 for e in f.incident[v] if placed.intersection(e)),
-                    f.degrees[v],
-                    -v,
-                ),
-            )
+            nxt = max(remaining, key=rank)
             order.append(nxt)
             placed.add(nxt)
             remaining.remove(nxt)
         self.order = order
+        # per position, the last earlier vertex in order of the same twin
+        # class, whose image the candidates must exceed (see find)
+        last: dict[int, int] = {}
+        self.twin_before: list[Optional[int]] = []
+        for v in order:
+            self.twin_before.append(last.get(f.twins[v]))
+            last[f.twins[v]] = v
         # per position i, the edges whose last vertex in order is order[i],
         # each given by its other vertices
         pos = {v: i for i, v in enumerate(order)}
@@ -209,7 +222,16 @@ class RainbowEmbedder:
         anchor: Optional[tuple[int, ...]] = None,
         max_nodes: Optional[int] = None,
     ) -> tuple[Optional[Embedding], int]:
-        """First rainbow embedding in deterministic order, or None.
+        """The first twin-sorted rainbow embedding, or None.
+
+        An embedding is twin-sorted when the images of each twin class of f
+        (see Hypergraph.twins) increase along the placement order.  Every
+        rainbow embedding phi has a twin-sorted one with the same image
+        edges: sorting the images within each class is phi composed with a
+        permutation of each class, an automorphism of f.  So the search
+        tries, for each vertex, only candidates above the image of the
+        previous vertex of its class; it finds a rainbow copy exactly when
+        one exists, and the first in its fixed order, deterministically.
 
         color_at maps an image edge's vertex mask to its color, or to None
         when the edge is unusable.  The search is free: anchor must be None,
@@ -221,7 +243,7 @@ class RainbowEmbedder:
             raise ValueError("find searches freely; anchor must be None")
         f = self.f
         n = self.n
-        order, sched = self.order, self.schedule
+        order, sched, before = self.order, self.schedule, self.twin_before
         if len(order) > n:
             return None, 0
         nodes = 0
@@ -240,7 +262,8 @@ class RainbowEmbedder:
                 for u in others:
                     rest |= bits[u]
                 rests.append(rest)
-            for cand in range(n):
+            prev = before[i]
+            for cand in range(0 if prev is None else images[prev] + 1, n):
                 bit = 1 << cand
                 if used & bit:
                     continue

@@ -130,6 +130,34 @@ class Hypergraph:
                 inc[v].append(e)
         return tuple(tuple(x) for x in inc)
 
+    @cached_property
+    def twins(self) -> tuple[int, ...]:
+        """twins[v] is the least w whose swap with v maps edge_set onto itself.
+
+        Being twins is an equivalence relation: (v x) = (v w)(w x)(v w), so
+        transpositions of twins compose to transpositions of twins, and
+        twins[v] names the least vertex of v's class.  The swap fixes every
+        edge holding both or neither of v and w.  When deg v == deg w and it
+        maps each edge through v alone to an edge, it sends those edges
+        injectively onto the equally many edges through w alone, and, being
+        an involution, those back; so v is tested against the least vertex
+        of each earlier class of its degree, on incident[v] only.
+        """
+        masks = {vertex_mask(e) for e in self.edges}
+        out = list(range(self.n))
+        reps: dict[int, list[int]] = {}  # least vertex of each class, by degree
+        for v in range(self.n):
+            through_v = [vertex_mask(e) for e in self.incident[v]]
+            same_degree = reps.setdefault(self.degrees[v], [])
+            for w in same_degree:
+                swap = 1 << v | 1 << w
+                if all(m >> w & 1 or m ^ swap in masks for m in through_v):
+                    out[v] = w
+                    break
+            else:
+                same_degree.append(v)
+        return tuple(out)
+
     def __repr__(self) -> str:  # compact, eval-unfriendly on purpose
         return f"Hypergraph(n={self.n}, r={self.r}, m={len(self.edges)})"
 

@@ -4,14 +4,18 @@ Everything here is deliberately naive: permutations instead of backtracking,
 full subset or partition enumeration instead of branch and bound.  The test
 suite trusts these on tiny instances and measures the real implementations
 against them.  copy_table is the one exception: it runs the solver's own
-table builder, for tests that drive _branch_and_bound directly.
+table builder, for tests that drive _branch_and_bound directly.  twins_off
+switches the twin rules off, for differential tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from math import comb
 from typing import Iterator, Optional, Sequence
+
+import pytest
 
 from arl.coloring import Coloring, make_coloring
 from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_family, make_hypergraph
@@ -86,6 +90,15 @@ def brute_automorphisms(h: Hypergraph) -> set[tuple[int, ...]]:
         for p in itertools.permutations(range(h.n))
         if all(tuple(sorted(p[v] for v in e)) in h.edge_set for e in h.edges)
     }
+
+
+@contextmanager
+def twins_off() -> Iterator[None]:
+    """Switch off both twin rules, the canonical search's and the free
+    embedder's: inside, every vertex is its own only twin."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Hypergraph, "twins", property(lambda h: tuple(range(h.n))))
+        yield
 
 
 def brute_ex(n: int, patterns: Sequence[Hypergraph], r: int) -> int:

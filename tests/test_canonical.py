@@ -18,12 +18,14 @@ from arl.constructions import (
     complete_graph,
     complete_hypergraph,
     expansion,
+    minus_family,
     named_hypergraph,
     path_graph,
+    splitting_family,
     turan_hypergraph,
 )
 from arl.hypergraph import kn_edges, make_hypergraph, relabel
-from helpers import brute_automorphisms, copy_table
+from helpers import brute_automorphisms, copy_table, twins_off
 
 
 def random_perm(rng, n):
@@ -249,3 +251,83 @@ class TestOrbit:
         for o in orbits:
             seeded = sum(through[c] == o for c in listed)
             assert seeded * len(group) == len(o) * factorial(r) * factorial(m - r)
+
+
+class TestTwins:
+    @pytest.mark.parametrize("name, h, order", PATTERNS)
+    def test_classes_are_the_automorphic_transpositions(self, name, h, order):
+        group = brute_automorphisms(h)
+        for v, w in itertools.combinations(range(h.n), 2):
+            swap = list(range(h.n))
+            swap[v], swap[w] = w, v
+            assert (h.twins[v] == h.twins[w]) == (tuple(swap) in group)
+        # twins[v] is the least vertex of v's class
+        assert all(h.twins[v] == min(u for u in range(h.n) if h.twins[u] == h.twins[v])
+                   for v in range(h.n))
+
+    def test_padding_makes_twins(self):
+        # expansion to r = 4 pads each edge with two private vertices
+        h = expansion(complete_graph(3), 4)
+        assert sorted(set(h.twins)) == [0, 1, 2, 3, 5, 7]
+
+
+TWIN_BASES = {
+    "K3": complete_graph(3),
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "C4": named_hypergraph("C4"),
+    "C5": named_hypergraph("C5"),
+    "C6": named_hypergraph("C6"),
+    "P3": named_hypergraph("P3"),
+    "K3+2K1": make_hypergraph(5, 2, complete_graph(3).edges),
+}
+
+
+@st.composite
+def twinned_hypergraphs(draw):
+    """A small random hypergraph, some of whose vertices are cloned so that
+    twins are common, and a relabeling of it."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 6))
+    pool = kn_edges(n, r)
+    h = make_hypergraph(n, r, draw(st.lists(st.sampled_from(pool), unique=True)))
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        # the clone c gets a copy of each edge through v, with v replaced by c
+        c = h.n
+        clones = [[c if u == v else u for u in e] for e in h.incident[v]]
+        h = make_hypergraph(c + 1, r, list(h.edges) + clones)
+    return h, draw(st.permutations(list(range(h.n))))
+
+
+class TestTwinRules:
+    # the twin rules of _search must leave every canonical key as it was
+
+    @pytest.mark.parametrize("family", [splitting_family, minus_family])
+    @pytest.mark.parametrize("name", sorted(TWIN_BASES))
+    def test_expansion_families_match_rules_off(self, name, family):
+        on = family(expansion(TWIN_BASES[name], 3))
+        keys = [canonical_key(m) for m in on.members]
+        with twins_off():
+            off = family(expansion(TWIN_BASES[name], 3))
+            assert [canonical_key(m) for m in off.members] == keys
+        assert len(off) == len(on)
+
+    @settings(max_examples=80, deadline=None)
+    @given(twinned_hypergraphs())
+    def test_random_keys_match_rules_off(self, drawn):
+        h, perm = drawn
+        g = relabel(h, perm)
+        on = (canonical_key(h), canonical_key(g))
+        with twins_off():
+            off = (canonical_key(h), canonical_key(g))
+        assert on[0] == on[1] == off[0] == off[1]
+        assert len(distinct_classes([h, g])) == 1
+
+    def test_twins_off_overrides_a_cached_relation(self):
+        h = make_hypergraph(6, 2, [])
+        assert h.twins == (0,) * 6
+        # the seeded transpositions (0 v) are all the generators found
+        assert len(automorphism_generators(h)) == 5
+        with twins_off():
+            assert h.twins == tuple(range(6))
+        assert h.twins == (0,) * 6

@@ -1,5 +1,7 @@
 import random
 import sys
+import time
+from contextlib import nullcontext
 from math import comb, perm
 
 import pytest
@@ -44,6 +46,7 @@ from helpers import (
     copy_table,
     naive_has_anchored_rainbow,
     naive_has_rainbow,
+    twins_off,
 )
 
 K3 = complete_graph(3)
@@ -208,6 +211,114 @@ class TestFindRainbow:
             return
         f = make_hypergraph(4, 2, edges)
         assert (find_rainbow_copy(chi, f) is not None) == naive_has_rainbow(chi, f)
+
+
+TWIN_PATTERNS = {
+    "K3": K3,
+    "K4": complete_graph(4),
+    "C4": cycle_graph(4),
+    "P3": path_graph(2),
+    "K1,3": make_hypergraph(4, 2, [(0, 1), (0, 2), (0, 3)]),
+    "2K2": make_hypergraph(4, 2, [(0, 1), (2, 3)]),
+    "K3+2K1": make_hypergraph(5, 2, K3.edges),
+    "triple": single_edge(3),
+    "book3": make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)]),
+    "K4^3": complete_hypergraph(4, 3),
+}
+
+
+def assert_witness(chi, f, w):
+    """Check a rainbow witness of f under chi edge by edge."""
+    images = w.embedding.images
+    placed = [images[v] for v in f.non_isolated]
+    assert all(x is not None and 0 <= x < chi.n for x in placed)
+    assert len(set(placed)) == len(placed)
+    assert len(w.edge_colors) == f.num_edges
+    pool = kn_edges(chi.n, chi.r)
+    for e, (img, c) in zip(f.edges, w.edge_colors):
+        assert img == tuple(sorted(images[v] for v in e))
+        assert c == chi.colors[pool.index(img)]
+    assert len({c for _, c in w.edge_colors}) == f.num_edges
+
+
+class TestTwinSortedFind:
+    @pytest.mark.parametrize("rules", ["on", "off"])
+    def test_against_naive(self, rules):
+        rng = random.Random(23)
+        for _ in range(200):
+            f = TWIN_PATTERNS[rng.choice(sorted(TWIN_PATTERNS))]
+            chi = random_coloring(rng, rng.randint(f.r, 6), f.r)
+            with twins_off() if rules == "off" else nullcontext():
+                w = find_rainbow_copy(chi, f)
+            assert (w is not None) == naive_has_rainbow(chi, f)
+            if w is not None:
+                assert_witness(chi, f, w)
+
+    @pytest.mark.parametrize("name", sorted(TWIN_PATTERNS))
+    def test_witness_is_twin_sorted(self, name):
+        # the images of each twin class increase along the placement order
+        f = TWIN_PATTERNS[name]
+        rng = random.Random(name)
+        em = RainbowEmbedder(6, f)
+        order, before = em.order, em.twin_before
+        for _ in range(30):
+            w = find_rainbow_copy(random_coloring(rng, 6, f.r), f)
+            if w is not None:
+                images = w.embedding.images
+                assert all(u is None or images[u] < images[v]
+                           for v, u in zip(order, before))
+
+    def test_twin_rule_cuts_nodes(self):
+        # K4 is one twin class.  In a one-colored K_8 every third vertex
+        # fails, so the search tries 8 first images, then the pairs after
+        # them: with the rule, the 28 increasing pairs and 56 increasing
+        # triples; without it, the 56 ordered pairs and 336 ordered triples
+        def nodes():
+            emb, count = RainbowEmbedder(8, complete_graph(4)).find(lambda m: 0)
+            assert emb is None
+            return count
+
+        assert nodes() == 8 + 28 + 56
+        with twins_off():
+            assert nodes() == 8 + 56 + 336
+
+
+class TestVertexOrder:
+    @staticmethod
+    def meet_order(f):
+        """The order ranked by edges met, degree and label, with no regard to
+        completed edges."""
+        order, placed, remaining = [], set(), list(f.non_isolated)
+        while remaining:
+            nxt = max(remaining, key=lambda v: (
+                sum(1 for e in f.incident[v] if placed.intersection(e)),
+                f.degrees[v],
+                -v,
+            ))
+            order.append(nxt)
+            placed.add(nxt)
+            remaining.remove(nxt)
+        return order
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, f in TWIN_PATTERNS.items() if f.r == 2) + ["K4^3"])
+    def test_graphs_and_k4_3_keep_their_order(self, name):
+        # for r = 2 an edge met is an edge completed; K4^3 is all ties
+        f = TWIN_PATTERNS[name]
+        assert RainbowEmbedder(6, f).order == self.meet_order(f)
+
+    def test_expansion_checks_an_edge_at_its_third_vertex(self):
+        # two core vertices, then the padding vertex of their edge
+        f = expansion(complete_graph(5), 3)
+        em = RainbowEmbedder(15, f)
+        assert set(em.order[:3]) in [set(e) for e in f.edges]
+        emb, nodes = em.find(lambda m: None)
+        assert emb is None and nodes == 15 + 15 * 14 + 15 * 14 * 13
+
+    def test_sparse_host_is_fast(self):
+        start = time.monotonic()
+        assert not has_copy(expansion(complete_graph(5), 3), make_hypergraph(15, 3, []))
+        assert time.monotonic() - start < 1.0
 
 
 ANCHORED_PATTERNS = {

@@ -319,6 +319,15 @@ def test_time_budget_covers_a_family():
     assert rep.status == "budget_exhausted" and rep.value is None
 
 
+def test_verify_feasibility_on_an_empty_witness_is_fast():
+    # the checker's has_copy places the padding vertex of an edge third, so
+    # on an edgeless host it fails after 15 * 14 * 13 placements, not P(15, 5)
+    rep = exact_turan(15, [HK5, HK33], budget=SearchBudget(max_seconds=0.1))
+    start = time.monotonic()
+    assert verify_feasibility(rep)
+    assert time.monotonic() - start < 2.0
+
+
 @pytest.mark.parametrize(
     "solve",
     [
