@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canonical import distinct_classes
+from .canonical import distinct_classes, orbit_representatives
 from .hypergraph import (
     Family,
     Hypergraph,
@@ -145,22 +145,45 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     split_set(f, core of S).  Isolated vertices stay in the core: splitting
     one deletes it.  The lex-first set whose split lands in a class has a
     core no earlier set had (an earlier set with that core would land in the
-    class too), so it is the one set kept for its core, and the members are
-    those the unreduced dedupe would keep, in the same order.
+    class too), so it is the one set kept for its core.
+
+    The cores then pass through orbit_representatives, which drops a core in
+    the orbit of an earlier kept one under automorphisms of f.  An
+    automorphism g maps independent sets to independent sets of the same
+    notion and keeps degrees, so it maps the sets with core C onto those
+    with core g(C), and split_set(f, g(C)) is isomorphic to split_set(f, C).
+    A dropped core therefore lands in the class of an earlier one, so it is
+    never the first of its class, and the first of each class survives.
+    This holds for any generators of a subgroup of Aut(f).  distinct_classes
+    still runs, as different orbits can give isomorphic splits, and the
+    members are those the unreduced dedupe would keep, in the same order.
     """
     cores: dict[tuple[int, ...], tuple[int, ...]] = {}
     for ind in independent_sets(f, mode):
         cores.setdefault(tuple(v for v in ind if f.degrees[v] != 1), ind)
-    splits = (split_set(f, ind, mode) for ind in cores.values())
+    splits = (split_set(f, cores[c], mode) for c in orbit_representatives(f, cores))
     return Family(r=f.r, members=distinct_classes(splits))
 
 
 def _deletion_family(f: Hypergraph, removable: Sequence[tuple[int, ...]]) -> Family:
+    """One member per isomorphism class of f less one removable edge, the
+    first in the order of removable, isolated vertices dropped.
+
+    The edges pass through orbit_representatives first, which drops an edge
+    in the orbit of an earlier kept one under automorphisms of f.  An
+    automorphism g maps f - e onto f - g(e), so a dropped edge's deletion
+    lies in the class of an earlier one and is never the first of its class;
+    the first of each class survives, under any generators of a subgroup of
+    Aut(f).  distinct_classes still runs, as edges in different orbits can
+    give isomorphic deletions, and the members are those it would keep from
+    every removable edge, in the same order.
+    """
     def delete(e: tuple[int, ...]) -> Hypergraph:
         g = Hypergraph(f.n, f.r, tuple(x for x in f.edges if x != e))
         return remove_vertices(g, [v for v in range(g.n) if g.degrees[v] == 0])
 
-    return Family(r=f.r, members=distinct_classes(map(delete, removable)))
+    edges = orbit_representatives(f, removable)
+    return Family(r=f.r, members=distinct_classes(map(delete, edges)))
 
 
 def minus_family(f: Hypergraph) -> Family:

@@ -5,7 +5,8 @@ full subset or partition enumeration instead of branch and bound.  The test
 suite trusts these on tiny instances and measures the real implementations
 against them.  copy_table is the one exception: it runs the solver's own
 table builder, for tests that drive _branch_and_bound directly.  twins_off
-switches the twin rules off, for differential tests.
+and orbits_off switch the twin rules and the families' orbit rule off, for
+differential tests.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import pytest
 
+from arl import canonical
 from arl.coloring import Coloring, make_coloring
 from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_family, make_hypergraph
 from arl.search import _copy_tables
@@ -98,6 +100,16 @@ def twins_off() -> Iterator[None]:
     embedder's: inside, every vertex is its own only twin."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Hypergraph, "twins", property(lambda h: tuple(range(h.n))))
+        yield
+
+
+@contextmanager
+def orbits_off() -> Iterator[None]:
+    """Switch off the orbit rule of the splitting and deletion families:
+    inside, automorphism_generators finds no generators, so every candidate
+    is its own orbit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canonical, "automorphism_generators", lambda h: [])
         yield
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arl import canonical
 from arl.canonical import (
     are_isomorphic,
     automorphism_generators,
@@ -13,6 +14,7 @@ from arl.canonical import (
     canonical_key,
     distinct_classes,
     orbit,
+    orbit_representatives,
 )
 from arl.constructions import (
     complete_graph,
@@ -21,11 +23,13 @@ from arl.constructions import (
     minus_family,
     named_hypergraph,
     path_graph,
+    pendant_minus_family,
     splitting_family,
     turan_hypergraph,
 )
-from arl.hypergraph import kn_edges, make_hypergraph, relabel
-from helpers import brute_automorphisms, copy_table, twins_off
+from arl.hypergraph import independent_sets, kn_edges, make_hypergraph, relabel
+from arl.verify import _small_corpus
+from helpers import brute_automorphisms, copy_table, orbits_off, twins_off
 
 
 def random_perm(rng, n):
@@ -331,3 +335,85 @@ class TestTwinRules:
         with twins_off():
             assert h.twins == tuple(range(6))
         assert h.twins == (0,) * 6
+
+
+def family_members(h, modes=("weak", "strong")):
+    """Every family built through orbit_representatives, by name."""
+    out = {f"split-{mode}": splitting_family(h, mode).members for mode in modes}
+    out["minus"] = minus_family(h).members
+    for k in range(1, h.r):
+        out[f"pendant-{k}"] = pendant_minus_family(h, k).members
+    return out
+
+
+def count_searches(monkeypatch, build):
+    """The number of canonical searches build() runs."""
+    calls = []
+    search = canonical._search
+
+    def counted(h):
+        calls.append(h)
+        return search(h)
+
+    monkeypatch.setattr(canonical, "_search", counted)
+    build()
+    return len(calls)
+
+
+# the weak splitting family of expansion(K5,4) is left out: enumerating its
+# 19.6M weakly independent sets takes minutes
+ORBIT_BASES = [(name, r) for r in (3, 4) for name in sorted(TWIN_BASES)]
+
+
+class TestOrbitRule:
+    # the orbit rule of the splitting and deletion families must leave every
+    # member, its labels and its place, as it was
+
+    @pytest.mark.parametrize("name, h, order", PATTERNS)
+    def test_representatives_are_the_first_of_each_brute_orbit(self, name, h, order):
+        group = brute_automorphisms(h)
+
+        def first_of_orbits(items):
+            seen, out = set(), []
+            for s in items:
+                if s not in seen:
+                    out.append(s)
+                    seen |= {tuple(sorted(p[v] for v in s)) for p in group}
+            return out
+
+        for items in (h.edges, independent_sets(h), [(v,) for v in range(h.n)]):
+            assert orbit_representatives(h, items) == first_of_orbits(items)
+
+    def test_small_corpus_matches_rule_off(self):
+        for h in _small_corpus():
+            on = family_members(h)
+            with orbits_off():
+                assert family_members(h) == on, h
+
+    @pytest.mark.parametrize("name, r", ORBIT_BASES)
+    def test_expansion_families_match_rule_off(self, name, r):
+        h = expansion(TWIN_BASES[name], r)
+        modes = ("strong",) if (name, r) == ("K5", 4) else ("weak", "strong")
+        on = family_members(h, modes)
+        with orbits_off():
+            assert family_members(h, modes) == on
+
+    @settings(max_examples=60, deadline=None)
+    @given(twinned_hypergraphs())
+    def test_random_families_match_rule_off(self, drawn):
+        h, perm = drawn
+        for g in (h, relabel(h, perm)):
+            on = family_members(g)
+            with orbits_off():
+                assert family_members(g) == on
+
+    @pytest.mark.parametrize("build, searches", [
+        (lambda: splitting_family(expansion(complete_graph(4), 3)), 6),
+        (lambda: minus_family(expansion(complete_graph(8), 3)), 2),
+        (lambda: minus_family(complete_graph(5)), 2),
+    ], ids=["split-expansion(K4,3)", "minus-expansion(K8,3)", "minus-K5"])
+    def test_one_search_per_family_plus_one_per_class(self, monkeypatch, build, searches):
+        # one automorphism search, then one key per orbit: the 16 cores of
+        # expansion(K4,3) fall into 5 orbits, and the edges of K_l into one;
+        # keying every candidate would take 16, 28 and 10 searches
+        assert count_searches(monkeypatch, build) == searches

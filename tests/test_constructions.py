@@ -32,6 +32,7 @@ from arl.hypergraph import (
     kn_edges,
     make_family,
     make_hypergraph,
+    remove_vertices,
 )
 from arl.verify import _small_corpus
 
@@ -222,6 +223,30 @@ class TestDeletionFamilies:
         for fam in (minus_family(h), pendant_minus_family(h, 1)):
             assert len(fam) == 1
             assert fam.members[0].n == 20 and fam.members[0].num_edges == 14
+
+    @staticmethod
+    def _unreduced(f, removable):
+        # the plain definition: delete every removable edge, then dedupe
+        def delete(e):
+            g = make_hypergraph(f.n, f.r, [x for x in f.edges if x != e])
+            return remove_vertices(g, [v for v in range(g.n) if g.degrees[v] == 0])
+
+        return distinct_classes(map(delete, removable))
+
+    def test_one_edge_per_orbit_matches_unreduced(self):
+        # the orbit rule keeps the same members in the same order
+        corpus = list(_small_corpus()) + [
+            path_graph(3),
+            make_hypergraph(6, 2, [(0, 1), (1, 2), (2, 3)]),
+            make_hypergraph(6, 3, [(0, 2, 4), (2, 4, 5)]),
+            *(expansion(b, r) for r in (3, 4)
+              for b in (K3, complete_graph(4), cycle_graph(4), cycle_graph(5), path_graph(3))),
+        ]
+        for f in corpus:
+            assert minus_family(f).members == self._unreduced(f, f.edges), f
+            for k in range(1, f.r):
+                pendant = [e for e in f.edges if sum(f.degrees[v] == 1 for v in e) >= k]
+                assert pendant_minus_family(f, k).members == self._unreduced(f, pendant), f
 
     def test_pendant_k_range(self):
         with pytest.raises(ValueError):
