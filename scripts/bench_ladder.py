@@ -4,9 +4,10 @@
 Runs ex(8,K3), ex(8,K4), ex(8,C4), ex(7,K4^3), ar(5,K4), ar(6,K3) and
 ar(6,K4), each five times under a 60 s budget, and records per instance
 the value, status, solver nodes (summed over the rungs of the climb) and
-the median wall time.  Four rows outside the solver follow, also timed five
-times each: the splitting family of expansion(C6,3), the minus family of
-expansion(K8,3), find_rainbow_copy of K5 in the lower-bound coloring on
+the median wall time.  Five rows outside the solver follow, also timed five
+times each: the splitting family of expansion(C6,3), the weak splitting
+family of expansion(K5,4), the minus family of expansion(K8,3),
+find_rainbow_copy of K5 in the lower-bound coloring on
 T(12,3) (the Turan graph's edges in distinct colors, every other pair in one
 more), and has_copy of expansion(K5,3) in the empty 15-vertex 3-graph.  Each
 records its result and, for the last two, the node count of
@@ -78,6 +79,8 @@ K5_T_COLORS = {vertex_mask(e): c for e, c in zip(kn_edges(12, 2), K5_T.colors)}
 OUTSIDE = [
     ("splitting_family(expansion(C6,3))",
      lambda: splitting_family(expansion(cycle_graph(6), 3)), len, None),
+    ("splitting_family(expansion(K5,4), weak)",
+     lambda: splitting_family(expansion(K5, 4), "weak"), len, None),
     ("minus_family(expansion(K8,3))",
      lambda: minus_family(expansion(complete_graph(8), 3)), len, None),
     ("find_rainbow_copy(K5, T(12,3) coloring)",

@@ -18,9 +18,11 @@ size.  Medians on a shared 2-CPU machine (runs vary by about 30%): a
 17-vertex edgeless graph, one twin class, takes under 1 ms and a 16-vertex
 perfect matching about 0.006 s.  The single-edge deletions of the 3-uniform
 expansion of K_l have 20, 27 and 35 vertices and no twins; the canonical
-form of one takes about 0.004, 0.006 and 0.02 s for l = 6, 7, 8, and their
-whole family, one automorphism search of the expansion plus that one form
-(see orbit_representatives), about 0.013, 0.024 and 0.05 s.
+form of one takes about 0.002, 0.004 and 0.009 s for l = 6, 7, 8.  Their
+whole family takes about 0.008, 0.011 and 0.019 s: one automorphism search
+of the expansion (see orbit_representatives) and no canonical form, as
+distinct_classes keys a graph only when a cheap invariant fails to tell it
+from an earlier one.
 """
 
 from __future__ import annotations
@@ -220,21 +222,45 @@ def canonical_key(h: Hypergraph) -> tuple[int, int, tuple[tuple[int, ...], ...]]
 
 
 def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
-    """Isomorphism test via canonical forms (isolated vertices count)."""
-    if a.n != b.n or a.r != b.r or len(a.edges) != len(b.edges):
-        return False
-    if sorted(a.degrees) != sorted(b.degrees):
+    """Isomorphism test via canonical forms (isolated vertices count), after
+    a cheap rejection on _invariant."""
+    if _invariant(a) != _invariant(b):
         return False
     return canonical_form(a).edges == canonical_form(b).edges
 
 
+def _invariant(h: Hypergraph) -> tuple:
+    """A cheap isomorphism invariant: n, r, the edge count, the sorted
+    degrees and the sorted multiset of each edge's sorted degree tuple."""
+    d = h.degrees
+    edge_degrees = sorted(tuple(sorted(d[v] for v in e)) for e in h.edges)
+    return (h.n, h.r, len(h.edges), tuple(sorted(d)), tuple(edge_degrees))
+
+
 def distinct_classes(graphs: Iterable[Hypergraph]) -> tuple[Hypergraph, ...]:
-    """The first graph of each isomorphism class, in input order."""
-    seen: set = set()
+    """The first graph of each isomorphism class, in input order.
+
+    Graphs are bucketed by _invariant, and canonical keys are computed only
+    inside a bucket that already holds a kept graph; the bucket's first
+    graph is keyed then, once.  Isomorphic graphs have equal invariants, so
+    a graph that opens a bucket has no earlier isomorphic graph and is the
+    first of its class.  Any other graph is compared by key with every graph
+    kept in its bucket, which is where an earlier isomorphic graph would be.
+    So the output is exactly that of keying every graph.
+    """
+    first: dict[tuple, Hypergraph] = {}
+    keys: dict[tuple, set] = {}
     out: list[Hypergraph] = []
     for g in graphs:
+        inv = _invariant(g)
+        if inv not in first:
+            first[inv] = g
+            out.append(g)
+            continue
+        if inv not in keys:
+            keys[inv] = {canonical_key(first[inv])}
         key = canonical_key(g)
-        if key not in seen:
-            seen.add(key)
+        if key not in keys[inv]:
+            keys[inv].add(key)
             out.append(g)
     return tuple(out)

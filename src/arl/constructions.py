@@ -24,7 +24,6 @@ from .canonical import distinct_classes, orbit_representatives
 from .hypergraph import (
     Family,
     Hypergraph,
-    independent_sets,
     is_independent,
     make_hypergraph,
     remove_vertices,
@@ -147,6 +146,15 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     core no earlier set had (an earlier set with that core would land in the
     class too), so it is the one set kept for its core.
 
+    The cores are exactly the independent sets of vertices of degree not 1,
+    listed by a depth-first search over those vertices alone.  The lex-first
+    set with core C holds no degree-1 vertex above max(C), as dropping it
+    gives a proper prefix; below max(C), a degree-1 vertex v that keeps
+    C, the vertices chosen so far and v independent makes the set smaller
+    at v's position, so the greedy pass in increasing order builds it.  The
+    cores are then ordered by these sets, so the padding vertices of an
+    expansion never multiply the work.
+
     The cores then pass through orbit_representatives, which drops a core in
     the orbit of an earlier kept one under automorphisms of f.  An
     automorphism g maps independent sets to independent sets of the same
@@ -158,9 +166,24 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     still runs, as different orbits can give isomorphic splits, and the
     members are those the unreduced dedupe would keep, in the same order.
     """
-    cores: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for ind in independent_sets(f, mode):
-        cores.setdefault(tuple(v for v in ind if f.degrees[v] != 1), ind)
+    hubs = [v for v in range(f.n) if f.degrees[v] != 1]
+    found: list[tuple[int, ...]] = []
+
+    def extend(core: tuple[int, ...], start: int) -> None:
+        found.append(core)
+        for i in range(start, len(hubs)):
+            if is_independent(f, core + (hubs[i],), mode):
+                extend(core + (hubs[i],), i + 1)
+
+    def first_set(core: tuple[int, ...]) -> tuple[int, ...]:
+        s = list(core)
+        for v in range(core[-1] if core else 0):
+            if f.degrees[v] == 1 and is_independent(f, s + [v], mode):
+                s.append(v)
+        return tuple(sorted(s))
+
+    extend((), 0)
+    cores = dict(sorted(((c, first_set(c)) for c in found), key=lambda cs: cs[1]))
     splits = (split_set(f, cores[c], mode) for c in orbit_representatives(f, cores))
     return Family(r=f.r, members=distinct_classes(splits))
 

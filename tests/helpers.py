@@ -4,9 +4,9 @@ Everything here is deliberately naive: permutations instead of backtracking,
 full subset or partition enumeration instead of branch and bound.  The test
 suite trusts these on tiny instances and measures the real implementations
 against them.  copy_table is the one exception: it runs the solver's own
-table builder, for tests that drive _branch_and_bound directly.  twins_off
-and orbits_off switch the twin rules and the families' orbit rule off, for
-differential tests.
+table builder, for tests that drive _branch_and_bound directly.  twins_off,
+orbits_off and invariant_off switch the twin rules, the families' orbit rule
+and distinct_classes' invariant buckets off, for differential tests.
 """
 
 from __future__ import annotations
@@ -110,6 +110,15 @@ def orbits_off() -> Iterator[None]:
     is its own orbit."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(canonical, "automorphism_generators", lambda h: [])
+        yield
+
+
+@contextmanager
+def invariant_off() -> Iterator[None]:
+    """Switch off the invariant buckets of distinct_classes: inside, every
+    graph has the same invariant, so every graph after the first is keyed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canonical, "_invariant", lambda h: ())
         yield
 
 

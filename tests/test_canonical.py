@@ -29,7 +29,13 @@ from arl.constructions import (
 )
 from arl.hypergraph import independent_sets, kn_edges, make_hypergraph, relabel
 from arl.verify import _small_corpus
-from helpers import brute_automorphisms, copy_table, orbits_off, twins_off
+from helpers import (
+    brute_automorphisms,
+    copy_table,
+    invariant_off,
+    orbits_off,
+    twins_off,
+)
 
 
 def random_perm(rng, n):
@@ -337,9 +343,9 @@ class TestTwinRules:
         assert h.twins == (0,) * 6
 
 
-def family_members(h, modes=("weak", "strong")):
+def family_members(h):
     """Every family built through orbit_representatives, by name."""
-    out = {f"split-{mode}": splitting_family(h, mode).members for mode in modes}
+    out = {f"split-{mode}": splitting_family(h, mode).members for mode in ("weak", "strong")}
     out["minus"] = minus_family(h).members
     for k in range(1, h.r):
         out[f"pendant-{k}"] = pendant_minus_family(h, k).members
@@ -360,8 +366,6 @@ def count_searches(monkeypatch, build):
     return len(calls)
 
 
-# the weak splitting family of expansion(K5,4) is left out: enumerating its
-# 19.6M weakly independent sets takes minutes
 ORBIT_BASES = [(name, r) for r in (3, 4) for name in sorted(TWIN_BASES)]
 
 
@@ -393,10 +397,9 @@ class TestOrbitRule:
     @pytest.mark.parametrize("name, r", ORBIT_BASES)
     def test_expansion_families_match_rule_off(self, name, r):
         h = expansion(TWIN_BASES[name], r)
-        modes = ("strong",) if (name, r) == ("K5", 4) else ("weak", "strong")
-        on = family_members(h, modes)
+        on = family_members(h)
         with orbits_off():
-            assert family_members(h, modes) == on
+            assert family_members(h) == on
 
     @settings(max_examples=60, deadline=None)
     @given(twinned_hypergraphs())
@@ -407,13 +410,61 @@ class TestOrbitRule:
             with orbits_off():
                 assert family_members(g) == on
 
-    @pytest.mark.parametrize("build, searches", [
-        (lambda: splitting_family(expansion(complete_graph(4), 3)), 6),
-        (lambda: minus_family(expansion(complete_graph(8), 3)), 2),
-        (lambda: minus_family(complete_graph(5)), 2),
+    @pytest.mark.parametrize("build", [
+        lambda: splitting_family(expansion(complete_graph(4), 3)),
+        lambda: minus_family(expansion(complete_graph(8), 3)),
+        lambda: minus_family(complete_graph(5)),
     ], ids=["split-expansion(K4,3)", "minus-expansion(K8,3)", "minus-K5"])
-    def test_one_search_per_family_plus_one_per_class(self, monkeypatch, build, searches):
-        # one automorphism search, then one key per orbit: the 16 cores of
-        # expansion(K4,3) fall into 5 orbits, and the edges of K_l into one;
-        # keying every candidate would take 16, 28 and 10 searches
-        assert count_searches(monkeypatch, build) == searches
+    def test_one_search_per_family(self, monkeypatch, build):
+        # one automorphism search and no key: the 16 cores of expansion(K4,3)
+        # fall into 5 orbits whose splits have 5 distinct invariants, and the
+        # edges of K_l into one orbit; keying every candidate would take 16,
+        # 28 and 10 searches, and keying every orbit 6, 2 and 2
+        assert count_searches(monkeypatch, build) == 1
+
+
+class TestInvariantRule:
+    # the invariant buckets of distinct_classes must leave every kept graph,
+    # its labels and its place, as they were
+
+    def test_invariant_survives_relabeling(self):
+        rng = random.Random(11)
+        for h in list(_small_corpus()) + [expansion(TWIN_BASES[name], 3)
+                                          for name in sorted(TWIN_BASES)]:
+            ref = canonical._invariant(h)
+            for _ in range(3):
+                assert canonical._invariant(relabel(h, random_perm(rng, h.n))) == ref
+
+    def test_collision_keeps_both_classes(self):
+        c6 = named_hypergraph("C6")
+        two_k3 = make_hypergraph(6, 2, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        assert canonical._invariant(c6) == canonical._invariant(two_k3)
+        graphs = [c6, two_k3, relabel(c6, (1, 0, 2, 3, 4, 5)), relabel(two_k3, (5, 4, 3, 2, 1, 0))]
+        got = distinct_classes(graphs)
+        assert len(got) == 2 and got[0] is c6 and got[1] is two_k3
+        assert not are_isomorphic(c6, two_k3)
+
+    def test_small_corpus_matches_rule_off(self):
+        on = _small_corpus()
+        with invariant_off():
+            assert _small_corpus() == on
+        for h in on:
+            members = family_members(h)
+            with invariant_off():
+                assert family_members(h) == members, h
+
+    @pytest.mark.parametrize("name, r", ORBIT_BASES)
+    def test_expansion_families_match_rule_off(self, name, r):
+        h = expansion(TWIN_BASES[name], r)
+        on = family_members(h)
+        with invariant_off():
+            assert family_members(h) == on
+
+    @settings(max_examples=60, deadline=None)
+    @given(twinned_hypergraphs())
+    def test_random_families_match_rule_off(self, drawn):
+        h, perm = drawn
+        for g in (h, relabel(h, perm)):
+            on = family_members(g)
+            with invariant_off():
+                assert family_members(g) == on
