@@ -422,6 +422,21 @@ class TestOrbitRule:
         # 28 and 10 searches, and keying every orbit 6, 2 and 2
         assert count_searches(monkeypatch, build) == 1
 
+    @pytest.mark.parametrize("build", [
+        lambda: splitting_family(expansion(complete_graph(4), 3)),
+        lambda: minus_family(expansion(complete_graph(8), 3)),
+        lambda: minus_family(complete_graph(5)),
+    ], ids=["split-expansion(K4,3)", "minus-expansion(K8,3)", "minus-K5"])
+    def test_one_search_per_family_plus_one_per_class(self, monkeypatch, build):
+        # with the invariant buckets off every orbit representative collides,
+        # so each class is keyed once: 1 + 5 searches for expansion(K4,3); a
+        # family of one class has nothing to collide with and keys nothing
+        classes = len(build().members)
+        with invariant_off():
+            searches = count_searches(monkeypatch, build)
+        assert searches == 1 + (classes if classes > 1 else 0)
+        assert (classes, searches) in ((5, 6), (1, 1))
+
 
 class TestInvariantRule:
     # the invariant buckets of distinct_classes must leave every kept graph,
