@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Time the exact-solve ladder and write BENCH_<label>.json.
 
-Runs ex(8,K3), ex(8,K4), ex(8,C4), ex(7,K4^3), ar(5,K4), ar(6,K3) and
-ar(6,K4), each five times under a 60 s budget, and records per instance
-the value, status, solver nodes (summed over the rungs of the climb) and
-the median wall time.  Five rows outside the solver follow, also timed five
-times each: the splitting family of expansion(C6,3), the weak splitting
-family of expansion(K5,4), the minus family of expansion(K8,3),
-find_rainbow_copy of K5 in the lower-bound coloring on
-T(12,3) (the Turan graph's edges in distinct colors, every other pair in one
-more), and has_copy of expansion(K5,3) in the empty 15-vertex 3-graph.  Each
-records its result and, for the last two, the node count of
-RainbowEmbedder.find.  It also records src_lines, the line count of the
-library's *.py files, so code size is tracked next to the timings.
+Runs ex(8,K3), ex(8,K4), ex(8,C4), ex(7,K4^3), ar(5,K4), ar(6,K3),
+ar(6,K4), ar(7,K3) and ar(7,C4), each five times under a 60 s budget, and
+records per instance the value, status, solver nodes (summed over the rungs
+of the climb) and the median wall time.  Five rows outside the solver
+follow, also timed five times each: the splitting family of
+expansion(C6,3), the weak splitting family of expansion(K5,4), the minus
+family of expansion(K8,3), find_rainbow_copy of K5 in the lower-bound
+coloring on T(12,3) (the Turan graph's edges in distinct colors, every
+other pair in one more), and has_copy of expansion(K5,3) in the empty
+15-vertex 3-graph.  Each records its result and, for the last two, the node
+count of RainbowEmbedder.find.  It also records src_lines, the line count of
+the library's *.py files, so code size is tracked next to the timings.
 Run it as:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label>
@@ -54,6 +54,8 @@ LADDER = [
     ("ar(5,K4)", lambda b: exact_anti_ramsey(5, K4, budget=b)),
     ("ar(6,K3)", lambda b: exact_anti_ramsey(6, K3, budget=b)),
     ("ar(6,K4)", lambda b: exact_anti_ramsey(6, K4, budget=b)),
+    ("ar(7,K3)", lambda b: exact_anti_ramsey(7, K3, budget=b)),
+    ("ar(7,C4)", lambda b: exact_anti_ramsey(7, C4, budget=b)),
 ]
 REPEATS = 5
 MAX_SECONDS = 60.0

@@ -11,20 +11,20 @@ Two solvers share the same report shape:
 Both are one call into _solve, the one path from patterns to a report: it
 checks the input, climbs the ladder of hosts K_k^r for k = r..n and shapes
 the witness.  Each rung runs the one depth-first loop, _branch_and_bound,
-over the colex edge list, and the value of rung k - 1 cuts rung k: deleting a vertex from a leaf on k vertices leaves a leaf on
-k - 1.  Nearly all of a solve proves that its best leaf is optimal, so this
-upper bound is where the climb pays.  The solvers differ only in the values
-an edge may take, given the number top of colors used on earlier edges:
-exact_turan tries (top, None), a fresh color and then "left out", so
-distinct edges get distinct colors and a rainbow copy is a copy;
-exact_anti_ramsey tries range(top + 1), the restricted growth strings.  A
-copy table lists every copy of a pattern in the host under its
-highest-ranked edge, and grows by one vertex per rung, so a solve lists each
-copy once.  A color on the newest edge is vetoed when a copy listed under
-that edge would be rainbow with it, so a feasible prefix is never re-tested
-against old edges.  A node is one value tried on one edge.  The loop keeps
-an explicit stack, so host size is not capped by the interpreter's
-recursion limit.
+over the colex edge list, and the value of rung k - 1 cuts rung k: deleting
+a vertex from a leaf on k vertices leaves a leaf on k - 1.  Nearly all of a
+solve proves that its best leaf is optimal, so this upper bound is where the
+climb pays.  The solvers differ only in the values an edge may take, given
+the number top of colors used on earlier edges.  Both try the fresh color top
+first: exact_turan then tries None, "left out", so distinct edges get
+distinct colors and a rainbow copy is a copy; exact_anti_ramsey then tries
+range(top), the restricted growth strings.  A copy table lists every copy of
+a pattern in the host under its highest-ranked edge, and grows by one vertex
+per rung, so a solve lists each copy once.  A color on the newest edge is
+vetoed when a copy listed under that edge would be rainbow with it, so a
+feasible prefix is never re-tested against old edges.  A node is one value
+tried on one edge.  The loop keeps an explicit stack, so host size is not
+capped by the interpreter's recursion limit.
 Budgets cap nodes and wall time over the whole climb; a tripped budget
 yields an honest "budget_exhausted" report instead of an unproven value.
 """
@@ -59,6 +59,12 @@ __all__ = [
 
 # nodes plus copies scanned between clock reads; a node costs about one copy
 _CLOCK_TICKS = 4096
+
+# per problem, the values an edge may take given the colors top used before it
+_VALUES: dict[str, Callable[[int], Sequence[Optional[int]]]] = {
+    "turan": lambda top: (top, None),
+    "anti_ramsey": lambda top: (top, *range(top)),
+}
 
 
 @dataclass(frozen=True)
@@ -219,7 +225,10 @@ def _branch_and_bound(
 
     Edge j gets each value of choices(top) in order, where top is the number
     of colors used on edges before j.  A value is None, which leaves the edge
-    out, or a color in range(top + 1), where top itself is a fresh color.  A
+    out, or a color in range(top + 1), where top itself is a fresh color.
+    The order of the values moves only the witness, the first best leaf, and
+    the node count: every leaf is still one path, and the color-count bound
+    and the cuts below drop only leaves no better than the best so far.  A
     color is vetoed when some copy in table[j] (see _copy_tables) has all its
     other edges present and, with the color, pairwise distinct colors; those
     edges rank below j, so this asks whether the decided prefix holds a
@@ -370,21 +379,21 @@ def _solve(
     """Run one solver: the one path from patterns to a report.
 
     Checks the input and climbs the ladder k = r..n with the problem's
-    values: (top, None) for "turan", range(top + 1) for "anti_ramsey".  Rung
-    k runs _branch_and_bound on k vertices with below set to the value of
-    rung k - 1 and the copy table of K_k^r, which _copy_tables grows by the
-    copies through one more vertex before each rung, so no copy is listed
-    twice and none beyond the last rung reached.  A rung below n on which no
-    member fits is not searched: every coloring with distinct colors is a
-    leaf, so its value is C(k, r).  The budget covers the whole climb: the
-    tables, their setup and every rung run against one deadline, start +
-    max_seconds, and each rung may try the nodes the rungs before it left of
-    max_nodes, so the report's nodes are summed over the rungs.  A rung that
-    runs out, searching or listing its copies, ends the run with value None;
-    a run that ends below n has no witness for n.  A turan leaf
-    becomes the Hypergraph of its chosen edges; an anti_ramsey leaf becomes
-    a Coloring, and the value is one more than its color count.  The
-    instance records as "below" the value rung n leaned on, or None.
+    values from _VALUES, a fresh color first.  Rung k runs _branch_and_bound
+    on k vertices with below set to the value of rung k - 1 and the copy
+    table of K_k^r, which _copy_tables grows by the copies through one more
+    vertex before each rung, so no copy is listed twice and none beyond the
+    last rung reached.  A rung below n on which no member fits is not
+    searched: every coloring with distinct colors is a leaf, so its value is
+    C(k, r).  The budget covers the whole climb: the tables, their setup and
+    every rung run against one deadline, start + max_seconds, and each rung
+    may try the nodes the rungs before it left of max_nodes, so the report's
+    nodes are summed over the rungs.  A rung that runs out, searching or
+    listing its copies, ends the run with value None; a run that ends below
+    n has no witness for n.  A turan leaf becomes the Hypergraph of its
+    chosen edges; an anti_ramsey leaf becomes a Coloring, and the value is
+    one more than its color count.  The instance records as "below" the value
+    rung n leaned on, or None.
     """
     turan = problem == "turan"
     if n < 0:
@@ -393,7 +402,6 @@ def _solve(
         where = "contained in every graph" if turan else "rainbow in every coloring"
         raise ValueError(f"an edgeless pattern is {where}")
     r = family.r
-    choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
     budget = budget or SearchBudget()
     max_nodes, secs = budget.max_nodes, budget.max_seconds
     start = time.monotonic()
@@ -411,7 +419,7 @@ def _solve(
             continue
         left = None if max_nodes is None else max_nodes - nodes
         status, best, values, spent = _branch_and_bound(
-            k, r, table, choices, True, below, left, deadline
+            k, r, table, _VALUES[problem], True, below, left, deadline
         )
         nodes += spent
         if status != "exact" or k == n:
@@ -461,11 +469,14 @@ def exact_anti_ramsey(
     """Smallest color count forcing a rainbow copy of the pattern in K_n^r.
 
     Enumerates colorings as restricted-growth strings over the colex edge
-    list, so each partition of the edge set is visited exactly once.  A
-    branch dies as soon as the colored prefix holds a rainbow copy through
-    its newest edge.  The answer is one more than the largest color count of
-    a rainbow-free coloring; when no coloring at all is rainbow-free (single
-    edge patterns) the answer is 1 and the witness is None.
+    list, so each partition of the edge set is visited exactly once.  Each
+    edge is tried with a fresh color before the colors already used, so the
+    first leaf reached is the greedy one, in which each edge takes a fresh
+    color unless that completes a rainbow copy.  A branch dies as soon as the
+    colored prefix holds a rainbow copy through its newest edge.  The answer
+    is one more than the largest color count of a rainbow-free coloring;
+    when no coloring at all is rainbow-free (single edge patterns) the
+    answer is 1 and the witness is None.
     """
     return _solve("anti_ramsey", n, make_family([pattern]), budget)
 

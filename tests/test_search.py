@@ -18,8 +18,10 @@ from arl.coloring import find_rainbow_copy
 from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph
 from arl.search import (
     SearchBudget,
+    _VALUES,
     _branch_and_bound,
     _copy_tables,
+    _solve,
     exact_anti_ramsey,
     exact_turan,
     verify_feasibility,
@@ -34,12 +36,17 @@ BOOK3 = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
 K4_3 = complete_hypergraph(4, 3)
 
 
-def unbounded_ar(n, pattern):
+# the anti-Ramsey values with the fresh color last, the plain restricted
+# growth string order, against which the solver's fresh-first order is checked
+FRESH_LAST = lambda top: range(top + 1)  # noqa: E731
+
+
+def unbounded_ar(n, pattern, values=_VALUES["anti_ramsey"]):
     """The anti-Ramsey loop with the color-count bound off, as (status, best,
     values, nodes): best is the largest rainbow-free color count, one less
     than ar."""
     table = copy_table(n, [pattern])
-    return _branch_and_bound(n, pattern.r, table, lambda top: range(top + 1), False)
+    return _branch_and_bound(n, pattern.r, table, values, False)
 
 
 def random_pattern(rng, r, max_v=5):
@@ -386,7 +393,7 @@ def test_loop_reads_the_clock_by_work():
     table = copy_table(10, [HK4])
     start = time.monotonic()
     status, _, _, nodes = _branch_and_bound(
-        10, 3, table, lambda top: range(top + 1), True, deadline=start + 0.2
+        10, 3, table, _VALUES["anti_ramsey"], True, deadline=start + 0.2
     )
     assert time.monotonic() - start < 1.0
     assert status == "budget_exhausted" and nodes > 1
@@ -404,12 +411,14 @@ def test_node_is_one_value_tried(n):
     # greedy leaf takes every edge, one node per edge, and reaches the cap,
     # which stops the run.  ar without the bound: every restricted growth
     # string prefix of length j is one node, so the Bell(M) partitions of the
-    # edge set are the nodes at the last edge.
+    # edge set are the nodes at the last edge, whichever order an edge's
+    # values are tried in.
     M = comb(n, 2)
     ex = exact_turan(n, [complete_graph(5)])
     assert (ex.value, ex.nodes) == (M, M)
-    _, best, _, nodes = unbounded_ar(n, complete_graph(5))
-    assert (best, nodes) == (M, sum(bell(j) for j in range(1, M + 1)))
+    for values in (_VALUES["anti_ramsey"], FRESH_LAST):
+        _, best, _, nodes = unbounded_ar(n, complete_graph(5), values)
+        assert (best, nodes) == (M, sum(bell(j) for j in range(1, M + 1)))
     assert exact_anti_ramsey(n, complete_graph(5)).value == M + 1
 
 
@@ -462,9 +471,9 @@ def test_budget_gives_exact_or_feasible_best_so_far(solve, n, fam):
     [
         (lambda: exact_turan(7, [K4]), 137),
         (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 178),
-        (lambda: exact_anti_ramsey(5, K4), 586),
-        (lambda: exact_anti_ramsey(5, cycle_graph(4)), 915),
-        (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 1242),
+        (lambda: exact_anti_ramsey(5, K4), 477),
+        (lambda: exact_anti_ramsey(5, cycle_graph(4)), 877),
+        (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 972),
     ],
     ids=["ex(7,K4)", "ex(6,K4^3)", "ar(5,K4)", "ar(5,C4)", "ar(5,K4^3)"],
 )
@@ -478,12 +487,13 @@ def test_node_counts_pinned(solve, nodes):
     assert rep.nodes == nodes
 
 
-def run_loop(n, fam, turan, below=None, **budget):
-    """The loop on n vertices with the solver's values and bound, leaning on
-    below when it is given, as (status, best, values, nodes)."""
-    choices = (lambda top: (top, None)) if turan else (lambda top: range(top + 1))
+def run_loop(n, fam, turan, below=None, values=None, **budget):
+    """The loop on n vertices with the solver's values, or the given ones,
+    and bound, leaning on below when it is given, as (status, best, values,
+    nodes)."""
+    values = values or _VALUES["turan" if turan else "anti_ramsey"]
     table = copy_table(n, fam)
-    return _branch_and_bound(n, fam[0].r, table, choices, True, below, **budget)
+    return _branch_and_bound(n, fam[0].r, table, values, True, below, **budget)
 
 
 CHERRY = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
@@ -523,6 +533,55 @@ def test_ladder_cuts_against_unaided_and_brute(turan, n, fam):
         assert cut_best == brute_ex(n, fam, r)
     elif len(fam) == 1 and comb(n, r) <= 6:
         assert max(cut_best, 0) + 1 == brute_ar(n, fam[0])
+
+
+def solve_ar(n, fam, values):
+    """_solve's anti-Ramsey path on a family, with the given values."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(_VALUES, "anti_ramsey", values)
+        return _solve("anti_ramsey", n, make_family(fam), None)
+
+
+def check_orders_agree(n, fam):
+    # the cuts and the color-count bound drop only leaves no better than the
+    # best so far, whichever order reached it, so the loop's best, with and
+    # without the rung below, and the climb's value do not depend on the
+    # order; each order's witness is feasible, and the oracle agrees
+    orders = (_VALUES["anti_ramsey"], FRESH_LAST)
+    below = run_loop(n - 1, fam, False)[1] if n > fam[0].r else None
+    for b in {None, below}:
+        runs = [run_loop(n, fam, False, b, values) for values in orders]
+        assert {run[0] for run in runs} == {"exact"}
+        assert runs[0][1] == runs[1][1], (n, [f.edges for f in fam], b)
+    first, last = (solve_ar(n, fam, values) for values in orders)
+    assert first.status == last.status == "exact"
+    assert (first.value, first.instance) == (last.value, last.instance)
+    assert verify_feasibility(first) and verify_feasibility(last)
+    if len(fam) == 1 and comb(n, fam[0].r) <= 6:
+        assert first.value == brute_ar(n, fam[0])
+
+
+@pytest.mark.parametrize("n, fam", LADDER_CORPUS)
+def test_value_order_moves_no_value(n, fam):
+    check_orders_agree(n, fam)
+
+
+def test_value_order_moves_no_value_on_random_patterns():
+    rng = random.Random(4051)
+    for r in (2, 3):
+        for _ in range(20):
+            n = rng.randint(r, 5)
+            fam = [random_pattern(rng, r, max_v=n) for _ in range(rng.randint(1, 2))]
+            check_orders_agree(n, fam)
+
+
+def test_fresh_color_first_reaches_the_greedy_leaf_first():
+    # K4 fits in neither 2 nor 3 vertices, so rung 4 leans on C(3, 2) = 3;
+    # a fresh color on every edge but the last, which would close a rainbow
+    # K4, is a leaf with 5 colors, reached in the first 7 nodes
+    _, best, values, _ = run_loop(4, [K4], False, 3, max_nodes=7)
+    assert best == 5 and values[:5] == (0, 1, 2, 3, 4)
+    assert run_loop(4, [K4], False, 3, FRESH_LAST, max_nodes=7)[1] < 5
 
 
 def test_single_edge_ladder_has_no_leaf():
