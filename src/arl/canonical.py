@@ -27,6 +27,7 @@ from an earlier one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, colex_rank, relabel
@@ -39,6 +40,7 @@ __all__ = [
     "distinct_classes",
     "orbit",
     "orbit_representatives",
+    "stabilizer_orbits",
 ]
 
 
@@ -88,16 +90,18 @@ def orbit(points: Iterable, gens: Sequence, act: Callable = lambda g, x: g[x]) -
     return seen
 
 
-def _search(h: Hypergraph) -> tuple[list[int], list[tuple[int, ...]]]:
+def _search(h: Hypergraph, cells: Optional[list] = None) -> tuple[list[int], list[tuple]]:
     """Return (labeling, automorphism generators).
 
     labeling[v] is the canonical label of vertex v; applying it yields the
-    minimum certificate.
+    minimum certificate.  cells, if given, are the first cells in place of
+    one cell of all vertices; every generator then keeps each first cell.
 
     Twins (see Hypergraph.twins) are used in two ways, and neither changes
     the minimum certificate.
-      * Their transpositions seed the generators.  Each is an automorphism,
-        and orbit pruning is sound for any automorphisms fixing the prefix.
+      * Their transpositions, per twin class and first cell (K3 from cells
+        [0], [1, 2] needs (1 2)), seed the generators; each keeps the first
+        cells, and orbit pruning is sound for any fixing the prefix.
       * A target cell of mutual twins becomes singletons, in sorted order,
         without branching.  Permuting the cell is an automorphism that fixes
         every other vertex, so it maps the subtree of one order of the cell
@@ -109,15 +113,19 @@ def _search(h: Hypergraph) -> tuple[list[int], list[tuple[int, ...]]]:
     """
     n = h.n
     twins = h.twins
+    cells = cells or [list(range(n))]
     best_cert: Optional[tuple[int, ...]] = None
     best_lab: Optional[list[int]] = None
     best_inv: Optional[list[int]] = None
     gens: list[tuple[int, ...]] = []
-    for v, w in enumerate(twins):
-        if w != v:
-            g = list(range(n))
-            g[v], g[w] = w, v
-            gens.append(tuple(g))
+    met: dict[tuple[int, int], int] = {}  # (twin class, first cell) -> first vertex
+    for i, cell in enumerate(cells):
+        for v in cell:
+            w = met.setdefault((twins[v], i), v)
+            if w != v:
+                g = list(range(n))
+                g[v], g[w] = w, v
+                gens.append(tuple(g))
     gen_seen: set[tuple[int, ...]] = set(gens)
 
     def handle_leaf(cells: list[list[int]]) -> None:
@@ -168,7 +176,7 @@ def _search(h: Hypergraph) -> tuple[list[int], list[tuple[int, ...]]]:
             done = orbit(done | {v}, stab)
 
     if n:
-        rec(_refine(h, [list(range(n))]), [])
+        rec(_refine(h, cells), [])
     assert best_lab is not None or n == 0
     return (best_lab or []), gens
 
@@ -176,13 +184,28 @@ def _search(h: Hypergraph) -> tuple[list[int], list[tuple[int, ...]]]:
 def automorphism_generators(h: Hypergraph) -> list[tuple[int, ...]]:
     """Automorphisms of h met at equivalent leaves of the canonical search.
 
-    Each generator g maps vertex v to g[v].  They generate a subgroup of
-    Aut(h) (on the tested corpus, all of it), which is what orbit pruning
-    needs to stay sound.  Costs the same search as canonical_form.
-    orbit_representatives, behind the splitting and deletion families,
-    calls it once per family.
+    Each generator g maps vertex v to g[v].  They generate Aut(h) (McKay,
+    1981): take b, the first least leaf.  At a node on b's path no earlier
+    branch holds b's certificate, and a later one that an automorphism
+    fixing the prefix maps b's onto is pruned as an image under the
+    generators or yields one at its leaf with b's certificate; twin cells are
+    permuted by the seeds.  So each stabilizer orbit along b's path is
+    reached, and so the group; from first cells, the group keeping each.
+    Costs one canonical search; orbit_representatives calls it per family.
     """
     return _search(h)[1]
+
+
+@lru_cache(maxsize=None)
+def stabilizer_orbits(h: Hypergraph, order: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    """Per p, the orbit of order[p] under the automorphisms of h that fix
+    order[:p]: one _search from first cells order[0], ..., order[p-1], rest
+    (see automorphism_generators).  Pure in an immutable h, so memoized."""
+    orbits = []
+    for p, v in enumerate(order):
+        rest = [u for u in range(h.n) if u not in order[:p]]
+        orbits.append(frozenset(orbit([v], _search(h, [[u] for u in order[:p]] + [rest])[1])))
+    return tuple(orbits)
 
 
 def orbit_representatives(

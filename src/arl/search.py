@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
+from .canonical import stabilizer_orbits
 from .coloring import Coloring, check_cap, find_rainbow_copy, make_coloring
 from .hypergraph import (
     Family,
@@ -114,27 +114,19 @@ def _copy_tables(
     k - 1.  Injections of a member's non-isolated vertices v_0, v_1, ... give
     the same copy exactly when they differ by an automorphism, and only the
     least of each such coset is enumerated: phi(v_p) < phi(v_q) whenever some
-    automorphism fixing v_0..v_{p-1} sends v_p to v_q.  Copies through vertex
-    k - 1 are listed by the position that goes there, so each copy is listed
-    once, at about one step per copy.  Members with more than n non-isolated
-    vertices are skipped.  If member a embeds in member b, b vetoes nothing a
-    does not: a copy of b that vetoes a color at its top edge j holds an
-    a-copy whose edges are present in distinct colors; its top edge is j, as
-    a's veto would have refused the value on any earlier top edge, so a's veto
-    fires at j too.  Yields None and stops once the clock passes deadline (a
-    time.monotonic() value, read at every copy, at every step of the symmetry
-    setup and after it).
+    automorphism fixing v_0..v_{p-1} sends v_p to v_q (canonical's
+    stabilizer_orbits).  Copies through vertex k - 1 are listed by the
+    position that goes there, so each copy is listed once, at about one step
+    per copy.  Members with more than n non-isolated vertices are skipped.
+    If member a embeds in member b, b vetoes nothing a does not: a copy of b
+    that vetoes a color at its top edge j holds an a-copy whose edges are
+    present in distinct colors; its top edge is j, as a's veto would have
+    refused the value on any earlier top edge, so a's veto fires at j too.
+    Yields None and stops once the clock passes deadline (a time.monotonic()
+    value, read at every copy and after, not during, the symmetry setup).
     """
     r = family.r
     rank: dict[int, int] = {}  # vertex mask -> colex rank of each edge so far
-
-    def automorphic(phi: list[int]) -> bool:
-        """Whether an automorphism of f sends order[i] to phi[i] for all i."""
-        if deadline is not None and time.monotonic() > deadline:
-            return False  # out of time; None is yielded after the setup
-        if any(sum(1 << phi[p] for p in e) not in shadow for e in parts[len(phi) - 1]):
-            return False  # the placed part of some edge lies in no edge
-        return len(phi) == k or any(automorphic(phi + [u]) for u in order if u not in phi)
 
     def place(q: int, used: int, ranks: list[int]) -> bool:
         if q == k:
@@ -157,16 +149,11 @@ def _copy_tables(
         order = f.non_isolated
         k = len(order)
         pos = {v: i for i, v in enumerate(order)}
-        # per position q, each edge through order[q] as its positions up to q
-        parts = [[[pos[u] for u in e if pos[u] <= q] for e in f.incident[v]]
-                 for q, v in enumerate(order)]
-        shadow = {vertex_mask(s) for e in f.edges
-                  for t in range(r) for s in combinations(e, t + 1)}
-        after = [[p for p in range(q) if automorphic([*order[:p], order[q]])]
-                 for q in range(k)]
+        orbits = stabilizer_orbits(f, order)
+        after = [[p for p in range(q) if order[q] in orbits[p]] for q in range(k)]
         # the edges completed at each position, as their other positions
-        ends = [[[p for p in e if p != q] for e in parts[q] if len(e) == r]
-                for q in range(k)]
+        ends = [[[pos[u] for u in e if u != v] for e in f.incident[v]
+                 if max(map(pos.get, e)) == q] for q, v in enumerate(order)]
         # the positions that may take the newest host vertex, the largest
         highs = [q for q in range(k) if not any(q in a for a in after)]
         members.append((k, after, ends, highs))

@@ -4,7 +4,9 @@ Everything here is deliberately naive: permutations instead of backtracking,
 full subset or partition enumeration instead of branch and bound.  The test
 suite trusts these on tiny instances and measures the real implementations
 against them.  copy_table is the one exception: it runs the solver's own
-table builder, for tests that drive _branch_and_bound directly.  twins_off,
+table builder, for tests that drive _branch_and_bound directly, and
+expansion_automorphisms builds its group from the base graph's brute-force
+one, as permuting an expansion's vertices takes too long.  twins_off,
 orbits_off and invariant_off switch the twin rules, the families' orbit rule
 and distinct_classes' invariant buckets off, for differential tests.
 """
@@ -20,6 +22,7 @@ import pytest
 
 from arl import canonical
 from arl.coloring import Coloring, make_coloring
+from arl.constructions import expansion
 from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_family, make_hypergraph
 from arl.search import _copy_tables
 
@@ -92,6 +95,60 @@ def brute_automorphisms(h: Hypergraph) -> set[tuple[int, ...]]:
         for p in itertools.permutations(range(h.n))
         if all(tuple(sorted(p[v] for v in e)) in h.edge_set for e in h.edges)
     }
+
+
+def expansion_automorphisms(f: Hypergraph, r: int) -> set[tuple[int, ...]]:
+    """Every automorphism of expansion(f, r), built from brute_automorphisms(f)
+    rather than by permuting the expansion's many vertices.
+
+    Each automorphism g of f lifts: it sends the padding of edge e, in order,
+    to that of g(e).  The group is the lifts composed with the permutations
+    inside each class of brute-force twins.  An automorphism maps the
+    degree-1 vertices of an edge, which are twins, onto those of its image;
+    permuting them there so that f's vertices go to f's vertices leaves an
+    automorphism of f on them, and its lift differs from the whole map only
+    by permutations of padding inside edges, which are twins too.
+    """
+    h = expansion(f, r)
+    pad = r - f.r
+    index = {e: i for i, e in enumerate(f.edges)}
+    lifts = []
+    for g in brute_automorphisms(f):
+        lift = list(g)
+        for e in f.edges:
+            j = f.n + index[tuple(sorted(g[v] for v in e))] * pad
+            lift += range(j, j + pad)
+        lifts.append(lift)
+    classes: list[list[int]] = []
+    for v in range(h.n):
+        for c in classes:
+            swap = list(range(h.n))
+            swap[v], swap[c[0]] = c[0], v
+            if all(tuple(sorted(swap[u] for u in e)) in h.edge_set for e in h.edges):
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    out = set()
+    for images in itertools.product(*(itertools.permutations(c) for c in classes)):
+        twin = list(range(h.n))
+        for c, image in zip(classes, images):
+            for v, w in zip(c, image):
+                twin[v] = w
+        out |= {tuple(twin[w] for w in lift) for lift in lifts}
+    return out
+
+
+def brute_stabilizer_orbits(
+    group: set[tuple[int, ...]], order: Sequence[int]
+) -> tuple[frozenset[int], ...]:
+    """Per p, the images of order[p] under the members of group that fix
+    order[:p]."""
+    out = []
+    for v in order:
+        out.append(frozenset(g[v] for g in group))
+        group = {g for g in group if g[v] == v}
+    return tuple(out)
 
 
 @contextmanager

@@ -15,6 +15,7 @@ from arl.canonical import (
     distinct_classes,
     orbit,
     orbit_representatives,
+    stabilizer_orbits,
 )
 from arl.constructions import (
     complete_graph,
@@ -31,7 +32,9 @@ from arl.hypergraph import independent_sets, kn_edges, make_hypergraph, relabel
 from arl.verify import _small_corpus
 from helpers import (
     brute_automorphisms,
+    brute_stabilizer_orbits,
     copy_table,
+    expansion_automorphisms,
     invariant_off,
     orbits_off,
     twins_off,
@@ -367,6 +370,39 @@ def count_searches(monkeypatch, build):
 
 
 ORBIT_BASES = [(name, r) for r in (3, 4) for name in sorted(TWIN_BASES)]
+
+
+class TestStabilizerOrbits:
+    # the copy tables' coset rule reads these orbits: each must be the brute
+    # one, from any order and with the twin rules on or off, or a copy is
+    # listed twice or not at all
+
+    @staticmethod
+    def check(h, group, shuffled):
+        for order in (tuple(range(h.n)), tuple(reversed(range(h.n))), tuple(shuffled)):
+            want = brute_stabilizer_orbits(group, order)
+            assert stabilizer_orbits(h, order) == want, (h.edges, order)
+            with twins_off():  # past the memo, so the search runs again
+                assert stabilizer_orbits.__wrapped__(h, order) == want, (h.edges, order)
+
+    def test_small_corpus(self):
+        rng = random.Random(3)
+        for h in _small_corpus():
+            self.check(h, brute_automorphisms(h), rng.sample(range(h.n), h.n))
+
+    @pytest.mark.parametrize("name, r", ORBIT_BASES)
+    def test_expansions(self, name, r):
+        h = expansion(TWIN_BASES[name], r)
+        group = expansion_automorphisms(TWIN_BASES[name], r)
+        if h.n <= 8:
+            assert group == brute_automorphisms(h)
+        self.check(h, group, random.Random(name).sample(range(h.n), h.n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(twinned_hypergraphs())
+    def test_random(self, drawn):
+        h, perm = drawn
+        self.check(h, brute_automorphisms(h), perm)
 
 
 class TestOrbitRule:

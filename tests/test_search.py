@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from arl.canonical import stabilizer_orbits
 from arl.constructions import (
     complete_graph,
     complete_hypergraph,
@@ -315,6 +316,7 @@ def complete_bipartite(a, b):
 HK5 = expansion(complete_graph(5), 3)  # 15 vertices
 HK33 = expansion(complete_bipartite(3, 3), 3)  # 15 vertices
 HK44 = expansion(complete_bipartite(4, 4), 3)  # 24 vertices, 1,152 automorphisms
+HK55 = expansion(complete_bipartite(5, 5), 3)  # 35 vertices
 
 
 def test_time_budget_covers_a_family():
@@ -344,8 +346,9 @@ def test_verify_feasibility_on_an_empty_witness_is_fast():
     ids=["turan", "anti_ramsey"],
 )
 def test_time_budget_covers_the_symmetry_setup(solve):
-    # the coset setup is exponential on expansions of bipartite graphs, so
-    # it reads the deadline too and the run stops before its first table
+    # the coset setup, a few canonical searches, is quick; listing the
+    # copies of HK44 in K_24^3 is not, and reads the deadline at every copy,
+    # so the run stops before its first node
     start = time.monotonic()
     rep = solve(SearchBudget(max_seconds=0.2))
     assert time.monotonic() - start < 1.0
@@ -353,11 +356,24 @@ def test_time_budget_covers_the_symmetry_setup(solve):
 
 
 def test_copy_tables_read_the_clock_before_the_first_table():
-    # a setup that ran past the deadline may have cut its coset search
-    # short, so no table is yielded after it
+    # the clock does not interrupt the coset setup but is read after it, so
+    # a setup that ends past the deadline yields no table
     tables = _copy_tables(5, make_family([K3]), deadline=time.monotonic() - 1)
     assert next(tables) is None
     assert next(tables, "stopped") == "stopped"
+
+
+@pytest.mark.parametrize("n, member", [(24, HK44), (35, HK55)], ids=["HK44", "HK55"])
+def test_node_budget_covers_the_symmetry_setup(n, member):
+    # with no clock to read, the coset setup of a 24- or 35-vertex expansion
+    # of a complete bipartite graph must still be quick: the node cap stops
+    # the run at a rung where only K4^3 fits; the memo is cleared, as the
+    # tests above set up HK44 too
+    stabilizer_orbits.cache_clear()
+    start = time.monotonic()
+    rep = exact_turan(n, [complete_hypergraph(4, 3), member], budget=SearchBudget(max_nodes=10))
+    assert time.monotonic() - start < 1.0
+    assert rep.status == "budget_exhausted" and rep.value is None and rep.nodes == 11
 
 
 def test_member_larger_than_the_host_is_not_set_up():
