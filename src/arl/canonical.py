@@ -27,7 +27,6 @@ from an earlier one.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .hypergraph import Hypergraph, colex_rank, relabel
@@ -99,9 +98,8 @@ def _search(h: Hypergraph, cells: Optional[list] = None) -> tuple[list[int], lis
 
     Twins (see Hypergraph.twins) are used in two ways, and neither changes
     the minimum certificate.
-      * Their transpositions, per twin class and first cell (K3 from cells
-        [0], [1, 2] needs (1 2)), seed the generators; each keeps the first
-        cells, and orbit pruning is sound for any fixing the prefix.
+      * Their swaps inside each first cell seed the generators; orbit
+        pruning is sound for any automorphisms fixing the prefix.
       * A target cell of mutual twins becomes singletons, in sorted order,
         without branching.  Permuting the cell is an automorphism that fixes
         every other vertex, so it maps the subtree of one order of the cell
@@ -118,10 +116,10 @@ def _search(h: Hypergraph, cells: Optional[list] = None) -> tuple[list[int], lis
     best_lab: Optional[list[int]] = None
     best_inv: Optional[list[int]] = None
     gens: list[tuple[int, ...]] = []
-    met: dict[tuple[int, int], int] = {}  # (twin class, first cell) -> first vertex
+    first: dict[tuple[int, int], int] = {}  # (twin class, first cell) -> first vertex
     for i, cell in enumerate(cells):
         for v in cell:
-            w = met.setdefault((twins[v], i), v)
+            w = first.setdefault((twins[v], i), v)
             if w != v:
                 g = list(range(n))
                 g[v], g[w] = w, v
@@ -182,29 +180,31 @@ def _search(h: Hypergraph, cells: Optional[list] = None) -> tuple[list[int], lis
 
 
 def automorphism_generators(h: Hypergraph) -> list[tuple[int, ...]]:
-    """Automorphisms of h met at equivalent leaves of the canonical search.
-
-    Each generator g maps vertex v to g[v].  They generate Aut(h) (McKay,
-    1981): take b, the first least leaf.  At a node on b's path no earlier
-    branch holds b's certificate, and a later one that an automorphism
-    fixing the prefix maps b's onto is pruned as an image under the
-    generators or yields one at its leaf with b's certificate; twin cells are
-    permuted by the seeds.  So each stabilizer orbit along b's path is
-    reached, and so the group; from first cells, the group keeping each.
-    Costs one canonical search; orbit_representatives calls it per family.
-    """
+    """Automorphisms g of h (v to g[v]) met at equivalent leaves of the
+    canonical search: they generate Aut(h), or from first cells the group
+    keeping each (McKay, 1981).  On the path to the first least leaf b, a
+    branch that an automorphism fixing the prefix maps b's onto is pruned as
+    an image under those found or yields one; seeds permute twin cells."""
     return _search(h)[1]
 
 
-@lru_cache(maxsize=None)
 def stabilizer_orbits(h: Hypergraph, order: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    """Per p, the orbit of order[p] under the automorphisms of h that fix
-    order[:p]: one _search from first cells order[0], ..., order[p-1], rest
-    (see automorphism_generators).  Pure in an immutable h, so memoized."""
-    orbits = []
+    """Per p, the orbit of order[p] under the automorphisms of h fixing
+    order[:p].  It lies in order[p]'s cell of the refinement with order[:p]
+    individualized, and fills it if the cell is one twin class or the
+    automorphisms found so far do; else a _search from those cells finds all."""
+    cells = _refine(h, [list(range(h.n))])
+    found, orbits = [], []  # the automorphisms met so far, the orbits
     for p, v in enumerate(order):
-        rest = [u for u in range(h.n) if u not in order[:p]]
-        orbits.append(frozenset(orbit([v], _search(h, [[u] for u in order[:p]] + [rest])[1])))
+        i, cell = next((i, c) for i, c in enumerate(cells) if v in c)
+        stab = [g for g in found if all(g[u] == u for u in order[:p])]
+        seen = set(cell) if len({h.twins[u] for u in cell}) == 1 else orbit([v], stab)
+        if len(seen) < len(cell):
+            stab = _search(h, cells)[1]
+            found, seen = found + stab, orbit([v], stab)
+        orbits.append(frozenset(seen))
+        if len(cell) > 1:
+            cells = _refine(h, cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:])
     return tuple(orbits)
 
 

@@ -378,17 +378,36 @@ class TestStabilizerOrbits:
     # listed twice or not at all
 
     @staticmethod
-    def check(h, group, shuffled):
+    def check(h, group, shuffled, searches=False):
         for order in (tuple(range(h.n)), tuple(reversed(range(h.n))), tuple(shuffled)):
             want = brute_stabilizer_orbits(group, order)
             assert stabilizer_orbits(h, order) == want, (h.edges, order)
-            with twins_off():  # past the memo, so the search runs again
-                assert stabilizer_orbits.__wrapped__(h, order) == want, (h.edges, order)
+            with twins_off():
+                assert stabilizer_orbits(h, order) == want, (h.edges, order)
+            stab = group
+            for p in range(h.n if searches else 0):
+                # a search from first cells order[0], ..., order[p-1], rest
+                # finds only automorphisms keeping each, and all their orbits
+                rest = [u for u in range(h.n) if u not in order[:p]]
+                gens = canonical._search(h, [[u] for u in order[:p]] + [rest])[1]
+                assert set(gens) <= stab, (h.edges, order, p)
+                assert all(orbit([v], gens) == {g[v] for g in stab} for v in rest)
+                stab = {g for g in stab if g[order[p]] == order[p]}
 
     def test_small_corpus(self):
         rng = random.Random(3)
         for h in _small_corpus():
-            self.check(h, brute_automorphisms(h), rng.sample(range(h.n), h.n))
+            self.check(h, brute_automorphisms(h), rng.sample(range(h.n), h.n), True)
+
+    def test_regular_but_not_transitive(self):
+        # refinement cannot tell the triangle of C3 + C4 from its square, in
+        # the graph or its expansion, so the first cell is no orbit
+        base = make_hypergraph(7, 2, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        group = brute_automorphisms(base)
+        self.check(base, group, [6, 0, 3, 1, 5, 2, 4], True)
+        assert stabilizer_orbits(base, tuple(range(7)))[0] == {0, 1, 2}
+        h = expansion(base, 3)
+        self.check(h, expansion_automorphisms(base, 3), random.Random(7).sample(range(h.n), h.n))
 
     @pytest.mark.parametrize("name, r", ORBIT_BASES)
     def test_expansions(self, name, r):
@@ -402,7 +421,7 @@ class TestStabilizerOrbits:
     @given(twinned_hypergraphs())
     def test_random(self, drawn):
         h, perm = drawn
-        self.check(h, brute_automorphisms(h), perm)
+        self.check(h, brute_automorphisms(h), perm, True)
 
 
 class TestOrbitRule:

@@ -346,9 +346,13 @@ def test_verify_feasibility_on_an_empty_witness_is_fast():
     ids=["turan", "anti_ramsey"],
 )
 def test_time_budget_covers_the_symmetry_setup(solve):
-    # the coset setup, a few canonical searches, is quick; listing the
-    # copies of HK44 in K_24^3 is not, and reads the deadline at every copy,
-    # so the run stops before its first node
+    # the clock does not interrupt the coset setup, so the setup itself must
+    # fit well inside the budget; listing the copies of HK44 in K_24^3 does
+    # not, and reads the deadline at every copy, so the run stops before its
+    # first node
+    start = time.monotonic()
+    stabilizer_orbits(HK44, HK44.non_isolated)
+    assert time.monotonic() - start < 0.1
     start = time.monotonic()
     rep = solve(SearchBudget(max_seconds=0.2))
     assert time.monotonic() - start < 1.0
@@ -367,9 +371,7 @@ def test_copy_tables_read_the_clock_before_the_first_table():
 def test_node_budget_covers_the_symmetry_setup(n, member):
     # with no clock to read, the coset setup of a 24- or 35-vertex expansion
     # of a complete bipartite graph must still be quick: the node cap stops
-    # the run at a rung where only K4^3 fits; the memo is cleared, as the
-    # tests above set up HK44 too
-    stabilizer_orbits.cache_clear()
+    # the run at a rung where only K4^3 fits
     start = time.monotonic()
     rep = exact_turan(n, [complete_hypergraph(4, 3), member], budget=SearchBudget(max_nodes=10))
     assert time.monotonic() - start < 1.0
