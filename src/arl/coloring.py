@@ -9,9 +9,10 @@ into the host such that the image edges carry pairwise distinct colors.  The
 detector is an exhaustive backtracking search; running out of budget raises
 BudgetExhausted rather than ever reporting a false "no copy".  It reads
 colors through a color_at callback keyed by an image edge's vertex mask
-(int, bit v per host vertex v), with None for an unusable edge.  The search
-is free, over every placement of the pattern; the exact solvers do not call
-it, they veto colors with a table of copies (see search._copy_tables).
+(int, bit v per host vertex v), with None for an unusable edge.  It is the
+one injection search in the package: find runs it freely, over every
+placement of the pattern, and the exact solvers' table of copies (see
+search._copy_tables) is listed by it, one vertex of the host pinned.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ class RainbowEmbedder:
     vertex_mask) and returns the edge's color, or None when the edge is
     unusable.  Plain containment is the case where every present host edge
     has its own color (see has_copy).  The plan is built here, so callers can
-    run find many times cheaply; the exact solvers read a copy table instead
-    (see search._copy_tables).
+    run find many times cheaply; the solvers' copy table is listed by the
+    same search (see search._copy_tables).
 
     Vertices are placed in a fixed order.  Next comes the vertex with the
     most edges whose other vertices are all placed; ties go to the most
@@ -182,11 +183,23 @@ class RainbowEmbedder:
     in expansion(K5, 3) the padding vertex of the first two core vertices'
     edge comes third, where counting met edges alone placed all five core
     vertices first.
+
+    Injections that differ by an automorphism have the same image edges, so
+    the search tries one per coset of a group G of them, the least (McKay,
+    1981): the image of order[q] must exceed that of order[p] when p < q and
+    order[q] is in orbits[p], the orbit of order[p] under the members of G
+    fixing order[:p] (vertices of order[:p] in it are not read).  Sending
+    each order[p] in turn to the vertex of its orbit with the least image
+    meets this, and only one member of a coset does: at the first position
+    that the h in G between two members moves, h or its inverse breaks it.
+    _orbits(f, order) gives the orbits.  By default G permutes each twin
+    class (see Hypergraph.twins) and orbits[p] is order[p]'s class, with no
+    automorphism search; the copy table passes canonical.stabilizer_orbits,
+    for all of Aut(f), so each copy is listed once.
     """
 
-    def __init__(self, n: int, f: Hypergraph):
-        self.n = n
-        self.f = f
+    def __init__(self, n: int, f: Hypergraph, _orbits: Optional[Callable] = None):
+        self.n, self.f = n, f
         order: list[int] = []
         placed: set[int] = set()
         remaining = list(f.non_isolated)
@@ -201,20 +214,20 @@ class RainbowEmbedder:
             placed.add(nxt)
             remaining.remove(nxt)
         self.order = order
-        # per position, the last earlier vertex in order of the same twin
-        # class, whose image the candidates must exceed (see find)
-        last: dict[int, int] = {}
-        self.twin_before: list[Optional[int]] = []
-        for v in order:
-            self.twin_before.append(last.get(f.twins[v]))
-            last[f.twins[v]] = v
-        # per position i, the edges whose last vertex in order is order[i],
-        # each given by its other vertices
+        twins = f.twins
+        orbits = (_orbits(f, order) if _orbits else
+                  [{u for u in order if twins[u] == twins[v]} for v in order])
+        above = [{p for p in range(q) if order[q] in orbits[p]} for q in range(len(order))]
+        # per position, the earlier positions whose images its own must exceed,
+        # less those the others imply (the constraints are transitive)
+        self.lows = [list(a.difference(*[above[x] for x in a])) for a in above]
         pos = {v: i for i, v in enumerate(order)}
+        # per position q, the edges whose last vertex in order is order[q],
+        # each given by the positions of its other vertices
         self.schedule: list[list[tuple[int, ...]]] = [[] for _ in order]
         for e in f.edges:
-            i = max(pos[v] for v in e)
-            self.schedule[i].append(tuple(u for u in e if u != order[i]))
+            q = max(pos[v] for v in e)
+            self.schedule[q].append(tuple(pos[u] for u in e if u != order[q]))
 
     def find(
         self,
@@ -222,72 +235,73 @@ class RainbowEmbedder:
         anchor: Optional[tuple[int, ...]] = None,
         max_nodes: Optional[int] = None,
     ) -> tuple[Optional[Embedding], int]:
-        """The first twin-sorted rainbow embedding, or None.
+        """The first rainbow embedding least in its coset, or None.
 
-        An embedding is twin-sorted when the images of each twin class of f
-        (see Hypergraph.twins) increase along the placement order.  Every
-        rainbow embedding phi has a twin-sorted one with the same image
-        edges: sorting the images within each class is phi composed with a
-        permutation of each class, an automorphism of f.  So the search
-        tries, for each vertex, only candidates above the image of the
-        previous vertex of its class; it finds a rainbow copy exactly when
-        one exists, and the first in its fixed order, deterministically.
-
-        color_at maps an image edge's vertex mask to its color, or to None
-        when the edge is unusable.  The search is free: anchor must be None,
-        and any other value raises ValueError.  Returns (embedding, nodes).
-        Raises BudgetExhausted when max_nodes assignments were tried without
-        settling the question.
+        Every rainbow embedding has such a one with the same image edges, so
+        find reports a rainbow copy exactly when one exists, the first in its
+        fixed order.  color_at maps an image edge's vertex mask to its color,
+        or to None when the edge is unusable.  The search is free: anchor
+        must be None, and any other value raises ValueError.  Returns
+        (embedding, nodes).  Raises BudgetExhausted when max_nodes
+        assignments were tried without settling the question.
         """
         if anchor is not None:
             raise ValueError("find searches freely; anchor must be None")
-        f = self.f
-        n = self.n
-        order, sched, before = self.order, self.schedule, self.twin_before
-        if len(order) > n:
+        if len(self.order) > self.n:
             return None, 0
-        nodes = 0
-        images: list[Optional[int]] = [None] * f.n
-        bits = [0] * f.n  # bits[v] == 1 << images[v] once v is placed
+        hit, nodes = self._embed(color_at, (1 << self.n) - 1, lambda *_: True, -1, max_nodes)
+        if hit is None:
+            return None, nodes
+        at = {v: bit.bit_length() - 1 for v, bit in zip(self.order, hit)}
+        return Embedding(tuple(map(at.get, range(self.f.n)))), nodes
 
-        def dfs(i: int, used: int, used_colors: set) -> Optional[Embedding]:
+    def _embed(self, color_at: Callable, host: int, leaf: Callable, pin: int,
+                max_nodes: Optional[int] = None) -> tuple[Optional[list[int]], int]:
+        """Depth-first search over the rainbow embeddings least in their
+        cosets into the vertices of mask host, but with position pin on the
+        vertex above them.  leaf(bits, colors) gets each one's images as bits
+        and its edge colors, and stops the search by returning True.  Returns
+        (the bits there or None, nodes), a node being one image tried, and
+        raises BudgetExhausted past max_nodes nodes."""
+        sched, lows, k = self.schedule, self.lows, len(self.order)
+        bits, colors, nodes = [0] * k, set(), 0
+
+        def dfs(q: int, used: int) -> bool:
             nonlocal nodes
-            if i == len(order):
-                return Embedding(tuple(images))
-            v = order[i]
-            # masks of the already placed vertices of the edges v completes
+            if q == k:
+                return leaf(bits, colors)
+            # masks of the placed vertices of the edges q completes
             rests = []
-            for others in sched[i]:
+            for others in sched[q]:
                 rest = 0
-                for u in others:
-                    rest |= bits[u]
+                for p in others:
+                    rest |= bits[p]
                 rests.append(rest)
-            prev = before[i]
-            for cand in range(0 if prev is None else images[prev] + 1, n):
-                bit = 1 << cand
-                if used & bit:
-                    continue
+            low = 0
+            for p in lows[q]:
+                low |= bits[p]
+            free = host + 1 if q == pin else host & ~used & -1 << low.bit_length()
+            while free:
+                bit = free & -free
+                free ^= bit
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise BudgetExhausted(nodes)
                 added: list[int] = []
                 for rest in rests:
                     c = color_at(rest | bit)
-                    if c is None or c in used_colors or c in added:
+                    if c is None or c in colors or c in added:
                         break
                     added.append(c)
                 else:
-                    images[v] = cand
-                    bits[v] = bit
-                    used_colors.update(added)
-                    hit = dfs(i + 1, used | bit, used_colors)
-                    if hit is not None:
-                        return hit
-                    used_colors.difference_update(added)
-            images[v] = None
-            return None
+                    bits[q] = bit
+                    colors.update(added)
+                    if dfs(q + 1, used | bit):
+                        return True
+                    colors.difference_update(added)
+            return False
 
-        return dfs(0, 0, set()), nodes
+        return (bits if dfs(0, 0) else None), nodes
 
 
 def find_rainbow_copy(

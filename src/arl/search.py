@@ -38,7 +38,7 @@ from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .canonical import stabilizer_orbits
-from .coloring import Coloring, check_cap, find_rainbow_copy, make_coloring
+from .coloring import Coloring, RainbowEmbedder, check_cap, find_rainbow_copy, make_coloring
 from .hypergraph import (
     Family,
     Hypergraph,
@@ -111,13 +111,11 @@ def _copy_tables(
     table[j] lists, for each copy of a member whose highest colex rank is j,
     the sorted ranks of its other edges.  Such a copy lies in K_{max(e_j)+1},
     so the table of K_k^r is that of K_{k-1}^r plus the copies through vertex
-    k - 1.  Injections of a member's non-isolated vertices v_0, v_1, ... give
-    the same copy exactly when they differ by an automorphism, and only the
-    least of each such coset is enumerated: phi(v_p) < phi(v_q) whenever some
-    automorphism fixing v_0..v_{p-1} sends v_p to v_q (canonical's
-    stabilizer_orbits).  Copies through vertex k - 1 are listed by the
-    position that goes there, so each copy is listed once, at about one step
-    per copy.  Members with more than n non-isolated vertices are skipped.
+    k - 1.  RainbowEmbedder lists them, one injection per copy, with the
+    ranks as colors and canonical's stabilizer_orbits as orbits, pinning
+    vertex k - 1 in turn to each position whose image no other must exceed,
+    at about one step per copy.  Members with more than n non-isolated
+    vertices are skipped.
     If member a embeds in member b, b vetoes nothing a does not: a copy of b
     that vetoes a color at its top edge j holds an a-copy whose edges are
     present in distinct colors; its top edge is j, as a's veto would have
@@ -125,52 +123,31 @@ def _copy_tables(
     Yields None and stops once the clock passes deadline (a time.monotonic()
     value, read at every copy and after, not during, the symmetry setup).
     """
-    r = family.r
     rank: dict[int, int] = {}  # vertex mask -> colex rank of each edge so far
 
-    def place(q: int, used: int, ranks: list[int]) -> bool:
-        if q == k:
-            ranks = sorted(ranks)
-            table[ranks.pop()].append(tuple(ranks))
-            return deadline is None or time.monotonic() <= deadline
-        rests = [sum(bits[p] for p in e) for e in ends[q]]
-        # least in its coset: above the host vertex of every p in after[q]
-        low = max([bits[p] for p in after[q]], default=0).bit_length()
-        free = top if q == newest else host & ~used & -1 << low
-        while free:
-            bits[q] = bit = free & -free
-            free ^= bit
-            if not place(q + 1, used | bit, ranks + [rank[x | bit] for x in rests]):
-                return False
-        return True
+    def leaf(bits: list[int], ranks: set) -> bool:
+        ranks = sorted(ranks)
+        table[ranks.pop()].append(tuple(ranks))
+        return deadline is not None and time.monotonic() > deadline
 
     members = []
     for f in [f for f in family.members if len(f.non_isolated) <= n]:
-        order = f.non_isolated
-        k = len(order)
-        pos = {v: i for i, v in enumerate(order)}
-        orbits = stabilizer_orbits(f, order)
-        after = [[p for p in range(q) if order[q] in orbits[p]] for q in range(k)]
-        # the edges completed at each position, as their other positions
-        ends = [[[pos[u] for u in e if u != v] for e in f.incident[v]
-                 if max(map(pos.get, e)) == q] for q, v in enumerate(order)]
-        # the positions that may take the newest host vertex, the largest
-        highs = [q for q in range(k) if not any(q in a for a in after)]
-        members.append((k, after, ends, highs))
+        em = RainbowEmbedder(n, f, stabilizer_orbits)
+        below = {p for low in em.lows for p in low}
+        members.append((em, [q for q in range(len(em.order)) if q not in below]))
     if deadline is not None and time.monotonic() > deadline:
         yield None
         return
     table: list[list[tuple[int, ...]]] = []
     yield table
     for m in range(n):
-        host, top = (1 << m) - 1, 1 << m
-        for e in kn_edges(m, r - 1):  # the edges through m, in colex order
+        top = 1 << m
+        for e in kn_edges(m, family.r - 1):  # the edges through m, in colex order
             rank[vertex_mask(e) | top] = len(table)
             table.append([])
-        for k, after, ends, highs in members:
-            bits = [0] * k  # 1 << the host vertex of each placed position
-            for newest in highs if k <= m + 1 else ():
-                if not place(0, 0, []):
+        for em, highs in members:
+            for newest in highs if len(em.order) <= m + 1 else ():
+                if em._embed(rank.get, top - 1, leaf, newest)[0] is not None:
                     yield None
                     return
         yield table
@@ -471,9 +448,11 @@ def exact_anti_ramsey(
 def verify_feasibility(report: SearchReport) -> bool:
     """Re-check a report's witness along an independent path.
 
-    Turan witnesses are re-tested with has_copy, a free search over the
-    whole witness rather than the solver's copy table; coloring witnesses
-    with the from-scratch rainbow search.  Only feasibility
+    Turan witnesses are re-tested with has_copy, coloring witnesses with
+    find_rainbow_copy.  Both run RainbowEmbedder's free search, which also
+    lists the solver's copy table; what keeps the check independent is that
+    it uses twin orbits only, with no copy table and no code of canonical,
+    where the table's coset constraints come from.  Only feasibility
     is certified here (the witness attains the claimed value and satisfies
     the constraint), not optimality.
     """

@@ -8,7 +8,8 @@ table builder, for tests that drive _branch_and_bound directly, and
 expansion_automorphisms builds its group from the base graph's brute-force
 one, as permuting an expansion's vertices takes too long.  twins_off,
 orbits_off and invariant_off switch the twin rules, the families' orbit rule
-and distinct_classes' invariant buckets off, for differential tests.
+and distinct_classes' invariant buckets off, and stabilizer_orbits_on gives
+the free embedder the copy table's orbits, for differential tests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 import pytest
 
 from arl import canonical
-from arl.coloring import Coloring, make_coloring
+from arl.coloring import Coloring, RainbowEmbedder, make_coloring
 from arl.constructions import expansion
 from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_family, make_hypergraph
 from arl.search import _copy_tables
@@ -157,6 +158,18 @@ def twins_off() -> Iterator[None]:
     embedder's: inside, every vertex is its own only twin."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Hypergraph, "twins", property(lambda h: tuple(range(h.n))))
+        yield
+
+
+@contextmanager
+def stabilizer_orbits_on() -> Iterator[None]:
+    """Give the free embedder the copy table's coset constraints: inside,
+    RainbowEmbedder takes its orbits from canonical.stabilizer_orbits, all of
+    Aut(f), in place of the twin classes."""
+    init = RainbowEmbedder.__init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RainbowEmbedder, "__init__",
+                   lambda self, n, f: init(self, n, f, canonical.stabilizer_orbits))
         yield
 
 

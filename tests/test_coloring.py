@@ -46,6 +46,7 @@ from helpers import (
     copy_table,
     naive_has_anchored_rainbow,
     naive_has_rainbow,
+    stabilizer_orbits_on,
     twins_off,
 )
 
@@ -242,13 +243,16 @@ def assert_witness(chi, f, w):
 
 
 class TestTwinSortedFind:
-    @pytest.mark.parametrize("rules", ["on", "off"])
+    @pytest.mark.parametrize("rules", ["on", "off", "stabilizer"])
     def test_against_naive(self, rules):
+        # "stabilizer" runs the free search with the copy table's orbits
+        rules = {"on": nullcontext, "off": twins_off,
+                 "stabilizer": stabilizer_orbits_on}[rules]
         rng = random.Random(23)
         for _ in range(200):
             f = TWIN_PATTERNS[rng.choice(sorted(TWIN_PATTERNS))]
             chi = random_coloring(rng, rng.randint(f.r, 6), f.r)
-            with twins_off() if rules == "off" else nullcontext():
+            with rules():
                 w = find_rainbow_copy(chi, f)
             assert (w is not None) == naive_has_rainbow(chi, f)
             if w is not None:
@@ -256,17 +260,18 @@ class TestTwinSortedFind:
 
     @pytest.mark.parametrize("name", sorted(TWIN_PATTERNS))
     def test_witness_is_twin_sorted(self, name):
-        # the images of each twin class increase along the placement order
+        # the images of each twin class increase along the placement order:
+        # each position's image exceeds those of its lower-bound positions
         f = TWIN_PATTERNS[name]
         rng = random.Random(name)
         em = RainbowEmbedder(6, f)
-        order, before = em.order, em.twin_before
+        order, lows = em.order, em.lows
         for _ in range(30):
             w = find_rainbow_copy(random_coloring(rng, 6, f.r), f)
             if w is not None:
                 images = w.embedding.images
-                assert all(u is None or images[u] < images[v]
-                           for v, u in zip(order, before))
+                assert all(images[order[p]] < images[order[q]]
+                           for q, low in enumerate(lows) for p in low)
 
     def test_twin_rule_cuts_nodes(self):
         # K4 is one twin class.  In a one-colored K_8 every third vertex
@@ -329,6 +334,10 @@ ANCHORED_PATTERNS = {
     "triple": single_edge(3),
     "expansion(P3,3)": expansion(path_graph(2), 3),
     "K3+K1": make_hypergraph(4, 2, K3.edges),
+    "C5": cycle_graph(5),
+    "book3": make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)]),
+    # placed 0, 2, 3, 1, 4, with orbits from a canonical search
+    "C5-relabeled": make_hypergraph(5, 2, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)]),
 }
 
 
