@@ -192,10 +192,7 @@ def stabilizer_orbits(h: Hypergraph, order: tuple[int, ...]) -> tuple[frozenset[
     """Per p, the orbit of order[p] under the automorphisms of h fixing
     order[:p].  It lies in order[p]'s cell of the refinement with order[:p]
     individualized, and fills it if the cell is one twin class or the
-    automorphisms found so far do; else a _search from those cells finds all.
-    Refinement is invariant, so every automorphism fixing order[:p] keeps
-    each of those cells; a _search with no generator makes that group
-    trivial, and every orbit from p on {order[q]}."""
+    automorphisms found so far do; else a _search from those cells finds all."""
     cells = _refine(h, [list(range(h.n))])
     found, orbits = [], []  # the automorphisms met so far, the orbits
     for p, v in enumerate(order):
@@ -204,8 +201,6 @@ def stabilizer_orbits(h: Hypergraph, order: tuple[int, ...]) -> tuple[frozenset[
         seen = set(cell) if len({h.twins[u] for u in cell}) == 1 else orbit([v], stab)
         if len(seen) < len(cell):
             stab = _search(h, cells)[1]
-            if not stab:
-                return tuple(orbits) + tuple(frozenset([u]) for u in order[p:])
             found, seen = found + stab, orbit([v], stab)
         orbits.append(frozenset(seen))
         if len(cell) > 1:

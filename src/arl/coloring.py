@@ -214,13 +214,18 @@ class RainbowEmbedder:
             placed.add(nxt)
             remaining.remove(nxt)
         self.order = order
-        twins = f.twins
-        orbits = (_orbits(f, order) if _orbits else
-                  [{u for u in order if twins[u] == twins[v]} for v in order])
-        above = [{p for p in range(q) if order[q] in orbits[p]} for q in range(len(order))]
         # per position, the earlier positions whose images its own must exceed,
         # less those the others imply (the constraints are transitive)
-        self.lows = [list(a.difference(*[above[x] for x in a])) for a in above]
+        if _orbits:
+            orbits = _orbits(f, order)
+            above = [{p for p in range(q) if order[q] in orbits[p]} for q in range(len(order))]
+            self.lows = [list(a.difference(*[above[x] for x in a])) for a in above]
+        else:  # twin classes: the last earlier position of the class
+            last: dict[int, int] = {}
+            self.lows = []
+            for q, v in enumerate(order):
+                self.lows.append([last[f.twins[v]]] if f.twins[v] in last else [])
+                last[f.twins[v]] = q
         pos = {v: i for i, v in enumerate(order)}
         # per position q, the edges whose last vertex in order is order[q],
         # each given by the positions of its other vertices

@@ -446,13 +446,13 @@ def exact_anti_ramsey(
 
 
 def verify_feasibility(report: SearchReport) -> bool:
-    """Re-check a report's witness along an independent path.
+    """Re-check a report's witness without the solver's copy table.
 
     Turan witnesses are re-tested with has_copy, coloring witnesses with
-    find_rainbow_copy.  Both run RainbowEmbedder's free search, which also
-    lists the solver's copy table; what keeps the check independent is that
-    it uses twin orbits only, with no copy table and no code of canonical,
-    where the table's coset constraints come from.  Only feasibility
+    find_rainbow_copy.  Both share RainbowEmbedder's search with the table
+    (order, edge schedule, color test), so a fault there hides a copy from
+    both; only the symmetry rule differs, twin orbits with no canonical
+    code.  The tests hold that search against a brute-force oracle.  Only feasibility
     is certified here (the witness attains the claimed value and satisfies
     the constraint), not optimality.
     """

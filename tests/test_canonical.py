@@ -424,20 +424,6 @@ class TestStabilizerOrbits:
         self.check(h, brute_automorphisms(h), perm, True)
 
 
-def test_stabilizer_orbits_stop_at_a_trivial_group():
-    # the Frucht graph is 3-regular with no automorphism but the identity
-    # (Frucht, 1939), so its 12 vertices stay one cell, which no orbit fills;
-    # beside a disjoint edge the group is the edge's swap.  Once a prefix
-    # fixes the edge, the search from its cells finds no generator and every
-    # later orbit is one vertex
-    lcf = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
-    ring = [(i, (i + d) % 12) for i in range(12) for d in (1, lcf[i])]
-    h = make_hypergraph(14, 2, sorted({tuple(sorted(e)) for e in ring} | {(12, 13)}))
-    group = {tuple(range(14)), tuple(range(12)) + (13, 12)}
-    for order in ((0, 12, 13, *range(1, 12)), (12, 13, *range(12)), tuple(range(14))):
-        assert stabilizer_orbits(h, order) == brute_stabilizer_orbits(group, order), order
-
-
 class TestOrbitRule:
     # the orbit rule of the splitting and deletion families must leave every
     # member, its labels and its place, as it was

@@ -260,16 +260,26 @@ class TestTwinSortedFind:
 
     @pytest.mark.parametrize("name", sorted(TWIN_PATTERNS))
     def test_witness_is_twin_sorted(self, name):
-        # the images of each twin class increase along the placement order:
-        # each position's image exceeds those of its lower-bound positions
+        # the images of each twin class increase along the placement order,
+        # read from f.twins; and each position's image exceeds those of its
+        # lower-bound positions.  The first witness is least in its order, so
+        # twin-sorted with or without the rule; the lower bounds must imply
+        # exactly the twin order, which f.twins gives directly
         f = TWIN_PATTERNS[name]
         rng = random.Random(name)
         em = RainbowEmbedder(6, f)
         order, lows = em.order, em.lows
+        below: list[set[int]] = []
+        for low in lows:
+            below.append(set(low).union(*[below[p] for p in low]))
+        assert below == [{p for p in range(q) if f.twins[order[p]] == f.twins[v]}
+                         for q, v in enumerate(order)]
         for _ in range(30):
             w = find_rainbow_copy(random_coloring(rng, 6, f.r), f)
             if w is not None:
                 images = w.embedding.images
+                assert all(images[u] < images[v] for q, v in enumerate(order)
+                           for u in order[:q] if f.twins[u] == f.twins[v])
                 assert all(images[order[p]] < images[order[q]]
                            for q, low in enumerate(lows) for p in low)
 
