@@ -5,17 +5,21 @@ Runs ex(8,K3), ex(8,K4), ex(8,C4), ex(7,K4^3), ar(5,K4), ar(6,K3),
 ar(6,K4), ar(7,K3) and ar(7,C4), each five times under a 60 s budget, and
 ex(24,{K4^3, expansion(K_{4,4},3)}) five times under a 10-node cap alone,
 which times the symmetry setup of the 24-vertex member; nothing is kept
-between runs, so each run pays for it.  It records per instance the value,
-status, solver nodes (summed over the rungs of the climb), the median wall
-time and the time of each run.  Five rows outside the solver
-follow, also timed five times each: the splitting family of
-expansion(C6,3), the weak splitting family of expansion(K5,4), the minus
-family of expansion(K8,3), find_rainbow_copy of K5 in the lower-bound
-coloring on T(12,3) (the Turan graph's edges in distinct colors, every
-other pair in one more), and has_copy of expansion(K5,3) in the empty
-15-vertex 3-graph.  Each records its result and, for the last two, the node
-count of RainbowEmbedder.find.  It also records src_lines, the line count of
-the library's *.py files, so code size is tracked next to the timings.
+between runs, so each run pays for it.  ex(10,{expansion(K4,3)}) and
+ex(10,{expansion(C5,3)}) run five times each under a 1-node cap alone: rung
+10 is the first one searched, so each run times the listing of its copy
+table (151,200 and 362,880 copies) and ends budget_exhausted after 2 nodes.
+It records per instance the value, status, solver nodes (summed over the
+rungs of the climb), the median wall time and the time of each run.  Five
+rows outside the solver follow, also timed five times each: the splitting
+family of expansion(C6,3), the weak splitting family of expansion(K5,4),
+the minus family of expansion(K8,3), find_rainbow_copy of K5 in the
+lower-bound coloring on T(12,3) (the Turan graph's edges in distinct
+colors, every other pair in one more), and has_copy of expansion(K5,3) in
+the empty 15-vertex 3-graph.  Each records its result and, for the last
+two, the node count of RainbowEmbedder.find.  It also records src_lines,
+the line count of the library's *.py files, so code size is tracked next to
+the timings.
 Run it as:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label>
@@ -62,6 +66,10 @@ LADDER = [
     ("ar(7,C4)", lambda b: exact_anti_ramsey(7, C4, budget=b)),
     ("ex(24,{K4^3,HK44}) at 10 nodes",
      lambda b: exact_turan(24, [K4_3, HK44], budget=SearchBudget(max_nodes=10))),
+    ("ex(10,{expansion(K4,3)}) at 1 node",
+     lambda b: exact_turan(10, [expansion(K4, 3)], budget=SearchBudget(max_nodes=1))),
+    ("ex(10,{expansion(C5,3)}) at 1 node",
+     lambda b: exact_turan(10, [expansion(cycle_graph(5), 3)], budget=SearchBudget(max_nodes=1))),
 ]
 REPEATS = 5
 MAX_SECONDS = 60.0

@@ -187,11 +187,16 @@ class RainbowEmbedder:
     Injections that differ by an automorphism have the same image edges, so
     the search tries one per coset of a group G of them, the least (McKay,
     1981): the image of order[q] must exceed that of order[p] when p < q and
-    order[q] is in orbits[p], the orbit of order[p] under the members of G
-    fixing order[:p] (vertices of order[:p] in it are not read).  Sending
+    order[q] is in orbits[p], the orbit of order[p] under G_p, the members of
+    G fixing order[:p] (vertices of order[:p] in it are not read).  Sending
     each order[p] in turn to the vertex of its orbit with the least image
     meets this, and only one member of a coset does: at the first position
     that the h in G between two members moves, h or its inverse breaks it.
+    One bound per position carries them all: low[q] is the last p < q with
+    order[q] in orbits[p], or -1.  Orbits along a stabilizer chain nest
+    (Sims, 1970): for p < p* = low[q], some member of G_p*, inside G_p, sends
+    order[p*] to order[q], so order[q] is in orbits[p] exactly when order[p*]
+    is, and following low from q reaches all the positions q's must exceed.
     _orbits(f, order) gives the orbits.  By default G permutes each twin
     class (see Hypergraph.twins) and orbits[p] is order[p]'s class, with no
     automorphism search; the copy table passes canonical.stabilizer_orbits,
@@ -214,19 +219,16 @@ class RainbowEmbedder:
             placed.add(nxt)
             remaining.remove(nxt)
         self.order = order
-        # per position, the earlier positions whose images its own must exceed,
-        # less those the others imply (the constraints are transitive)
-        if _orbits:
-            orbits = _orbits(f, order)
-            above = [{p for p in range(q) if order[q] in orbits[p]} for q in range(len(order))]
-            self.lows = [list(a.difference(*[above[x] for x in a])) for a in above]
-        else:  # twin classes: the last earlier position of the class
-            last: dict[int, int] = {}
-            self.lows = []
-            for q, v in enumerate(order):
-                self.lows.append([last[f.twins[v]]] if f.twins[v] in last else [])
-                last[f.twins[v]] = q
         pos = {v: i for i, v in enumerate(order)}
+        classes: dict[int, list[int]] = {}  # twin classes, the default orbits
+        for v in order:
+            classes.setdefault(f.twins[v], []).append(v)
+        orbits = _orbits(f, order) if _orbits else [classes[f.twins[v]] for v in order]
+        self.low = [-1] * len(order)
+        for p, orbit in enumerate(orbits):
+            for v in orbit:
+                if pos[v] > p:
+                    self.low[pos[v]] = p
         # per position q, the edges whose last vertex in order is order[q],
         # each given by the positions of its other vertices
         self.schedule: list[list[tuple[int, ...]]] = [[] for _ in order]
@@ -264,12 +266,13 @@ class RainbowEmbedder:
                 max_nodes: Optional[int] = None) -> tuple[Optional[list[int]], int]:
         """Depth-first search over the rainbow embeddings least in their
         cosets into the vertices of mask host, but with position pin on the
-        vertex above them.  leaf(bits, colors) gets each one's images as bits
-        and its edge colors, and stops the search by returning True.  Returns
-        (the bits there or None, nodes), a node being one image tried, and
-        raises BudgetExhausted past max_nodes nodes."""
-        sched, lows, k = self.schedule, self.lows, len(self.order)
-        bits, colors, nodes = [0] * k, set(), 0
+        vertex above them, and position q's image above bits[low[q]].
+        leaf(bits, colors) gets each one's images as bits and its edge colors,
+        and stops the search by returning True.  Returns (the bits there or
+        None, nodes), a node being one image tried, and raises BudgetExhausted
+        past max_nodes nodes."""
+        sched, low, k = self.schedule, self.low, len(self.order)
+        bits, colors, nodes = [0] * (k + 1), set(), 0  # bits[-1]: no bound
 
         def dfs(q: int, used: int) -> bool:
             nonlocal nodes
@@ -282,10 +285,7 @@ class RainbowEmbedder:
                 for p in others:
                     rest |= bits[p]
                 rests.append(rest)
-            low = 0
-            for p in lows[q]:
-                low |= bits[p]
-            free = host + 1 if q == pin else host & ~used & -1 << low.bit_length()
+            free = host + 1 if q == pin else host & ~used & -1 << bits[low[q]].bit_length()
             while free:
                 bit = free & -free
                 free ^= bit

@@ -114,8 +114,8 @@ def _copy_tables(
     k - 1.  RainbowEmbedder lists them, one injection per copy, with the
     ranks as colors and canonical's stabilizer_orbits as orbits, pinning
     vertex k - 1 in turn to each position whose image no other must exceed,
-    at about one step per copy.  Members with more than n non-isolated
-    vertices are skipped.
+    one that no bound in em.low names, at about one step per copy.  Members
+    with more than n non-isolated vertices are skipped.
     If member a embeds in member b, b vetoes nothing a does not: a copy of b
     that vetoes a color at its top edge j holds an a-copy whose edges are
     present in distinct colors; its top edge is j, as a's veto would have
@@ -133,8 +133,7 @@ def _copy_tables(
     members = []
     for f in [f for f in family.members if len(f.non_isolated) <= n]:
         em = RainbowEmbedder(n, f, stabilizer_orbits)
-        below = {p for low in em.lows for p in low}
-        members.append((em, [q for q in range(len(em.order)) if q not in below]))
+        members.append((em, [q for q in range(len(em.order)) if q not in em.low]))
     if deadline is not None and time.monotonic() > deadline:
         yield None
         return

@@ -1,5 +1,6 @@
 import itertools
 import random
+from contextlib import nullcontext
 from math import comb, factorial
 
 import pytest
@@ -17,6 +18,7 @@ from arl.canonical import (
     orbit_representatives,
     stabilizer_orbits,
 )
+from arl.coloring import RainbowEmbedder
 from arl.constructions import (
     complete_graph,
     complete_hypergraph,
@@ -422,6 +424,34 @@ class TestStabilizerOrbits:
     def test_random(self, drawn):
         h, perm = drawn
         self.check(h, brute_automorphisms(h), perm, True)
+
+    @staticmethod
+    def check_bounds(h, group):
+        # RainbowEmbedder keeps one lower bound per position, the last earlier
+        # position whose brute orbit holds order[q]; following the bounds from
+        # q must reach every earlier position whose orbit holds it, or the
+        # copy table lists a copy twice
+        for rules in (nullcontext, twins_off):
+            with rules():
+                em = RainbowEmbedder(h.n, h, stabilizer_orbits)
+            brute = brute_stabilizer_orbits(group, em.order)
+            for q, v in enumerate(em.order):
+                above = {p for p in range(q) if v in brute[p]}
+                assert em.low[q] == max(above, default=-1), (h.edges, em.order, q)
+                reached, p = set(), em.low[q]
+                while p >= 0:
+                    reached.add(p)
+                    p = em.low[p]
+                assert reached == above, (h.edges, em.order, q)
+
+    def test_one_bound_per_position_small_corpus(self):
+        for h in _small_corpus():
+            self.check_bounds(h, brute_automorphisms(h))
+
+    @pytest.mark.parametrize("name, r", ORBIT_BASES)
+    def test_one_bound_per_position_expansions(self, name, r):
+        self.check_bounds(expansion(TWIN_BASES[name], r),
+                          expansion_automorphisms(TWIN_BASES[name], r))
 
 
 class TestOrbitRule:
