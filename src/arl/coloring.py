@@ -205,20 +205,21 @@ class RainbowEmbedder:
 
     def __init__(self, n: int, f: Hypergraph, _orbits: Optional[Callable] = None):
         self.n, self.f = n, f
-        order: list[int] = []
-        placed: set[int] = set()
+        # placed vertices per edge; per vertex, edges done (all others placed) and met
+        inside = dict.fromkeys(f.edges, 0)
+        done = [len(f.incident[v]) if f.r == 1 else 0 for v in range(f.n)]
+        met = [0] * f.n
+        self.order = order = []
         remaining = list(f.non_isolated)
-
-        def rank(v: int) -> tuple[int, int, int, int]:
-            meets = [len(placed.intersection(e)) for e in f.incident[v]]
-            return (meets.count(f.r - 1), sum(map(bool, meets)), f.degrees[v], -v)
-
         while remaining:
-            nxt = max(remaining, key=rank)
-            order.append(nxt)
-            placed.add(nxt)
-            remaining.remove(nxt)
-        self.order = order
+            u = max(remaining, key=lambda v: (done[v], met[v], f.degrees[v], -v))
+            order.append(u)
+            remaining.remove(u)
+            for e in f.incident[u]:
+                inside[e] += 1
+                for w in e:
+                    met[w] += inside[e] == 1
+                    done[w] += inside[e] == f.r - 1
         pos = {v: i for i, v in enumerate(order)}
         classes: dict[int, list[int]] = {}  # twin classes, the default orbits
         for v in order:

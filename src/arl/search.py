@@ -23,8 +23,8 @@ a pattern in the host under its highest-ranked edge, and grows by one vertex
 per rung, so a solve lists each copy once.  A color on the newest edge is
 vetoed when a copy listed under that edge would be rainbow with it, so a
 feasible prefix is never re-tested against old edges.  A node is one value
-tried on one edge.  The loop keeps an explicit stack, so host size is not
-capped by the interpreter's recursion limit.
+tried on one edge.  The loop keeps its place in per-edge arrays, not in
+recursion, so host size is not capped by the interpreter's recursion limit.
 Budgets cap nodes and wall time over the whole climb; a tripped budget
 yields an honest "budget_exhausted" report instead of an unproven value.
 """
@@ -174,6 +174,13 @@ def _bump(cnt: list[int], mask: int, d: int) -> None:
         mask &= mask - 1
 
 
+def _star(least: int, near: int, mask: int, old: int) -> int:
+    """The star minimum after a color whose edges share the vertex mask old goes on an edge
+    of vertex mask `mask`: m0 = least, or m0 - 1 >= 0 (cnt >= 1 on old) if old meets A = near
+    off the edge."""
+    return least - 1 if old & near & ~mask else least
+
+
 def _branch_and_bound(
     n: int,
     r: int,
@@ -204,11 +211,10 @@ def _branch_and_bound(
     below, not the first-edge rule, which test_first_edge_rule_against_brute
     checks.
 
-    Stack invariant: an entry (j, top, i) tries value i of choices(top) on
-    edge j, and i == len(choices(top)) leaves edge j.  The entry for i + 1
-    sits below the subtree of value i, so the values run in order.  Every
-    edge before the one being tried holds its value in a list indexed by
-    colex rank; the veto never reads the later ones.
+    The loop keeps its place in arrays, not in recursion, so host size is not
+    capped by the recursion limit: tops[j] counts the colors before edge j,
+    nxt[j] indexes its next value.  A value meets the color-count bound, the
+    star cut below in O(1), then the veto, and only then is it applied.
 
     Edge 0 keeps the first value that fits: that value gets no sibling.  This
     is sound when the first value of choices(0) is color 0.  A leaf's color
@@ -240,7 +246,13 @@ def _branch_and_bound(
       the edges after j at v.  A child with
       below + cnt[v] + rem[j + 1][v] <= best at some v has only leaves with
       c <= best.  For turan this is the minimum-degree condition
-      delta >= ex(n) - ex(n-1).
+      delta >= ex(n) - ex(n-1).  All values of edge j start from one state,
+      with m0 = min_v cnt[v] + rem[j + 1][v] attained on A.  After None it is
+      m0; after a fresh color, min_v cnt[v] + rem[j][v], as cnt gains what
+      rem[j] has over rem[j + 1], and edge j - 1's value was cut against it;
+      after an old color c, m0 - 1 if common[c] meets A off edge j, else m0,
+      so A is read only when below + m0 = best + 1.  None is below
+      min_v rem[j + 1][v] - 1, and each is found only when a value needs it.
     Both cuts drop only leaves with c <= best, and best only grows, so the
     best leaf found is the one the search without them finds, whatever the
     first-edge rule or the color-count bound has already dropped.
@@ -271,67 +283,83 @@ def _branch_and_bound(
                 row[v] += 1
             rem.append(row)
         rem.reverse()
+        low = [min(row, default=0) - 1 for row in rem[1:]]  # no star minimum after edge j is below
     common: list[int] = []  # color -> AND of the vertex masks of its edges
     cnt = [0] * n  # v -> colors whose edges all contain v
-    # edge -> (its color, that color's AND before it, or None if it opened it)
-    undo: list[Optional[tuple[int, Optional[int]]]] = [None] * M
+    olds = [0] * M  # edge -> its color's AND before it, when it reused one
+    tops, nxt = [0] * (M + 1), [0] * (M + 1)  # edge -> colors before it, index of its next value
+    # edge -> m0, A and the minimum after a fresh color, each -1 until needed
+    floor, near, fresh = [-1] * (M + 1), [-1] * (M + 1), [-1] * (M + 1)
 
     nodes = 0
     ticks, late = 0, False  # read the clock once ticks runs out
     best = -1
     best_values: Optional[tuple[Optional[int], ...]] = None
-    stack = [(0, 0, 0)] if best < cap else []
     status = "exact"
-    while stack:
-        j, top, i = stack.pop()
+    j = 0 if best < cap else -1
+    while j >= 0:
+        top = tops[j]
         if j == M:
             if top > best:
-                best = top
-                best_values = tuple(val)
+                best, best_values = top, tuple(val)
                 if best >= cap:
                     break
+            j -= 1
             continue
-        if undo[j] is not None:
-            c, old = undo[j]
-            undo[j] = None
-            if old is None:
+        opts, i = options[top], nxt[j]
+        if i and ladder and val[j] is not None:  # back from the subtree of val[j]
+            if val[j] == top:
                 _bump(cnt, common.pop(), -1)
             else:
-                _bump(cnt, old ^ common[c], 1)
-                common[c] = old
-        opts = options[top]
-        if i == len(opts):
-            continue
-        nodes += 1
-        if deadline is not None:
-            ticks -= len(table[j]) + 1
-            if ticks < 0:
-                ticks = _CLOCK_TICKS
-                late = time.monotonic() > deadline
-        if late or (max_nodes is not None and nodes > max_nodes):
-            status = "budget_exhausted"
-            break
-        c = opts[i]
-        val[j] = c
-        fits = c is None or not _vetoed(table[j], val, c)
-        if j or not fits:
-            stack.append((j, top, i + 1))
-        if fits:
+                _bump(cnt, olds[j] & ~common[val[j]], 1)
+                common[val[j]] = olds[j]
+        while i < len(opts):
+            c = opts[i]
+            i += 1
+            nodes += 1
+            if deadline is not None:
+                ticks -= len(table[j]) + 1
+                if ticks < 0:
+                    ticks = _CLOCK_TICKS
+                    late = time.monotonic() > deadline
+            if late or (max_nodes is not None and nodes > max_nodes):
+                status, j = "budget_exhausted", -1
+                break
+            val[j] = c
+            up = top + (c == top)
+            cut, star = prune_bound and up + M - j - 1 <= best, -1  # -1: star not found
+            if ladder and not cut and below + low[j] <= best:
+                if c == top and fresh[j] < 0:
+                    fresh[j] = min(map(add, cnt, rem[j]))
+                if c != top and floor[j] < 0:
+                    floor[j] = min(map(add, cnt, rem[j + 1]))
+                star = fresh[j] if c == top else floor[j] if c is None else -1
+                if star < 0 and below + floor[j] == best + 1:  # only here can a drop decide
+                    if near[j] < 0:
+                        near[j] = 0
+                        for v, x in enumerate(map(add, cnt, rem[j + 1])):
+                            near[j] |= (x == floor[j]) << v
+                    star = _star(floor[j], near[j], masks[j], common[c])
+                cut = below + (floor[j] if star < 0 else star) <= best
+            if cut and j or c is not None and _vetoed(table[j], val, c):
+                continue
+            if cut:  # edge 0 keeps its first value that fits, which is cut
+                j = -1
+                break
             if ladder and c is not None:
                 if c == top:
                     common.append(masks[j])
                     _bump(cnt, masks[j], 1)
-                    undo[j] = (c, None)
                 else:
-                    old = common[c]
-                    common[c] = old & masks[j]
-                    _bump(cnt, old ^ common[c], -1)
-                    undo[j] = (c, old)
-            top += c == top
-            if not prune_bound or top + (M - j - 1) > best and (
-                not ladder or below + min(map(add, cnt, rem[j + 1])) > best
-            ):
-                stack.append((j + 1, top, 0))
+                    olds[j] = common[c]
+                    common[c] &= masks[j]
+                    _bump(cnt, olds[j] & ~masks[j], -1)
+            nxt[j] = i if j else len(opts)
+            j += 1
+            tops[j], nxt[j], fresh[j], floor[j], near[j] = up, 0, star, -1, -1
+            break
+        else:
+            j -= 1
 
     return status, best, best_values, nodes
 

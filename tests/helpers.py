@@ -81,6 +81,27 @@ def naive_has_anchored_rainbow(
     return False
 
 
+def naive_placement_order(f: Hypergraph) -> list[int]:
+    """RainbowEmbedder's placement order by its rule, recounted at every step:
+    next the vertex with the most edges whose other vertices are all placed,
+    then the most edges that meet a placed vertex, the highest degree and the
+    least label."""
+    order: list[int] = []
+    placed: set[int] = set()
+    remaining = list(f.non_isolated)
+
+    def rank(v: int) -> tuple[int, int, int, int]:
+        meets = [len(placed.intersection(e)) for e in f.incident[v]]
+        return (meets.count(f.r - 1), sum(map(bool, meets)), f.degrees[v], -v)
+
+    while remaining:
+        nxt = max(remaining, key=rank)
+        order.append(nxt)
+        placed.add(nxt)
+        remaining.remove(nxt)
+    return order
+
+
 def copy_table(n: int, patterns: Sequence[Hypergraph]) -> list[list[tuple[int, ...]]]:
     """The solver's copy table of K_n^r for the patterns, the last that
     _copy_tables yields."""

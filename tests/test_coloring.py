@@ -46,6 +46,7 @@ from helpers import (
     copy_table,
     naive_has_anchored_rainbow,
     naive_has_rainbow,
+    naive_placement_order,
     stabilizer_orbits_on,
     twins_off,
 )
@@ -321,6 +322,28 @@ class TestVertexOrder:
         # for r = 2 an edge met is an edge completed; K4^3 is all ties
         f = TWIN_PATTERNS[name]
         assert RainbowEmbedder(6, f).order == self.meet_order(f)
+
+    ORDER_PATTERNS = {
+        **TWIN_PATTERNS,
+        "expansion(K5,3)": expansion(complete_graph(5), 3),
+        "expansion(C5,3)": expansion(cycle_graph(5), 3),
+        "expansion(K4,4)": expansion(complete_graph(4), 4),
+        "expansion(P4,3)": expansion(path_graph(4), 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORDER_PATTERNS))
+    def test_counted_order_is_the_recounted_rule(self, name):
+        # the counts kept as each vertex is placed give the rule's order
+        f = self.ORDER_PATTERNS[name]
+        assert RainbowEmbedder(f.n, f).order == naive_placement_order(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 7), st.data())
+    def test_counted_order_on_random_patterns(self, r, n, data):
+        pool = kn_edges(n, r)
+        picks = data.draw(st.sets(st.integers(0, len(pool) - 1), max_size=8)) if pool else ()
+        f = make_hypergraph(n, r, [pool[i] for i in sorted(picks)])
+        assert RainbowEmbedder(n, f).order == naive_placement_order(f)
 
     def test_expansion_checks_an_edge_at_its_third_vertex(self):
         # two core vertices, then the padding vertex of their edge

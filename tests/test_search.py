@@ -1,8 +1,11 @@
 import random
 import time
 from math import comb
+from operator import add
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arl.canonical import stabilizer_orbits
 from arl.constructions import (
@@ -21,8 +24,10 @@ from arl.search import (
     SearchBudget,
     _VALUES,
     _branch_and_bound,
+    _bump,
     _copy_tables,
     _solve,
+    _star,
     exact_anti_ramsey,
     exact_turan,
     verify_feasibility,
@@ -492,8 +497,14 @@ def test_budget_gives_exact_or_feasible_best_so_far(solve, n, fam):
         (lambda: exact_anti_ramsey(5, K4), 477),
         (lambda: exact_anti_ramsey(5, cycle_graph(4)), 877),
         (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 972),
+        (lambda: exact_turan(8, [K3]), 276),
+        (lambda: exact_turan(7, [K3, cycle_graph(5)]), 152),
+        (lambda: exact_anti_ramsey(6, K3), 3109),
+        (lambda: exact_anti_ramsey(7, K3), 56006),
+        (lambda: exact_anti_ramsey(7, K4), 87324),
     ],
-    ids=["ex(7,K4)", "ex(6,K4^3)", "ar(5,K4)", "ar(5,C4)", "ar(5,K4^3)"],
+    ids=["ex(7,K4)", "ex(6,K4^3)", "ar(5,K4)", "ar(5,C4)", "ar(5,K4^3)",
+         "ex(8,K3)", "ex(7,{K3,C5})", "ar(6,K3)", "ar(7,K3)", "ar(7,K4)"],
 )
 def test_node_counts_pinned(solve, nodes):
     # solver node counts, summed over the rungs of the climb, are
@@ -503,6 +514,39 @@ def test_node_counts_pinned(solve, nodes):
     rep = solve()
     assert rep.status == "exact"
     assert rep.nodes == nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_star_in_o1_against_recount(data):
+    # on a random state, the loop's star minimum after a value matches the
+    # one recounted after the value's bookkeeping: m0 after None, the
+    # minimum over rem[j] after a fresh color (rem[j] exceeds rem[j + 1] by
+    # one on edge j), and _star after an old color; cnt[v] counts the colors
+    # whose common AND holds v
+    n = data.draw(st.integers(1, 7), label="n")
+    masks = st.integers(1, (1 << n) - 1)
+    common = data.draw(st.lists(masks, max_size=5), label="common")
+    cnt = [sum(m >> v & 1 for m in common) for v in range(n)]
+    rem = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="rem")
+    mask = data.draw(masks, label="edge")
+    c = data.draw(st.sampled_from([None, *range(len(common) + 1)]), label="value")
+    least = min(map(add, cnt, rem))
+    near = sum(1 << v for v in range(n) if cnt[v] + rem[v] == least)
+    fresh = min(cnt[v] + rem[v] + (mask >> v & 1) for v in range(n))
+    assert fresh == least + (not near & ~mask)
+    if c is None:
+        star = least
+    elif c == len(common):
+        star = fresh
+        common.append(mask)
+        _bump(cnt, mask, 1)
+    else:
+        star = _star(least, near, mask, common[c])
+        old = common[c]
+        common[c] &= mask
+        _bump(cnt, old & ~mask, -1)
+    assert star == min(map(add, cnt, rem)) >= 0
 
 
 def run_loop(n, fam, turan, below=None, values=None, **budget):
