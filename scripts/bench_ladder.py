@@ -2,12 +2,14 @@
 """Time the exact-solve ladder and write BENCH_<label>.json.
 
 Runs ex(8,K3), ex(8,K4), ex(8,C4), ex(7,K4^3), ar(5,K4), ar(6,K3),
-ar(6,K4), ar(7,K3), ar(7,C4) and ar(7,K4), each five times under a 60 s
-budget, and ar(6,HK3^3), HK3^3 = expansion(K3,3), five times under a
-300,000-node cap alone: the ladder's cuts are vacuous there, so it times the
-branch-and-bound loop.  ex(24,{K4^3, expansion(K_{4,4},3)}) runs five times
-under a 10-node cap alone, which times the symmetry setup of the 24-vertex
-member; nothing is kept between runs, so each run pays for it.
+ar(6,K4), ar(7,K3), ar(7,C4), ar(7,K4), ar(8,K3), ar(6,K4^3) and ar(6,C5),
+each five times under a 60 s budget (ar(6,C5) is the row where the
+deficit cap barely cuts), and ar(6,HK3^3), HK3^3 = expansion(K3,3), five
+times under a 300,000-node cap alone: the ladder's cuts are vacuous there,
+so it times the branch-and-bound loop.  ex(24,{K4^3, expansion(K_{4,4},3)})
+runs five times under a 10-node cap alone, which times the symmetry setup
+of the 24-vertex member; nothing is kept between runs, so each run pays for
+it.
 ex(10,{expansion(K4,3)}) and ex(10,{expansion(C5,3)}) run five times each
 under a 1-node cap alone: rung 10 is the first one searched, so each run
 times the listing of its copy table (151,200 and 362,880 copies) and ends
@@ -68,6 +70,9 @@ LADDER = [
     ("ar(7,K3)", lambda b: exact_anti_ramsey(7, K3, budget=b)),
     ("ar(7,C4)", lambda b: exact_anti_ramsey(7, C4, budget=b)),
     ("ar(7,K4)", lambda b: exact_anti_ramsey(7, K4, budget=b)),
+    ("ar(8,K3)", lambda b: exact_anti_ramsey(8, K3, budget=b)),
+    ("ar(6,K4^3)", lambda b: exact_anti_ramsey(6, K4_3, budget=b)),
+    ("ar(6,C5)", lambda b: exact_anti_ramsey(6, cycle_graph(5), budget=b)),
     ("ar(6,HK3^3) at 300,000 nodes",
      lambda b: exact_anti_ramsey(6, expansion(K3, 3), budget=SearchBudget(max_nodes=300_000))),
     ("ex(24,{K4^3,HK44}) at 10 nodes",

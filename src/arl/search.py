@@ -12,9 +12,11 @@ Both are one call into _solve, the one path from patterns to a report: it
 checks the input, climbs the ladder of hosts K_k^r for k = r..n and shapes
 the witness.  Each rung runs the one depth-first loop, _branch_and_bound,
 over the colex edge list, and the value of rung k - 1 cuts rung k: deleting
-a vertex from a leaf on k vertices leaves a leaf on k - 1.  Nearly all of a
-solve proves that its best leaf is optimal, so this upper bound is where the
-climb pays.  The solvers differ only in the values an edge may take, given
+a vertex from a leaf on k vertices leaves a leaf on k - 1.  Summed over the
+vertices, this caps the colors of a branch, the lower the fewer vertices
+its reused colors' edges still share.  Nearly all of a solve proves that
+its best leaf is optimal, so this upper bound is where the climb pays.  The
+solvers differ only in the values an edge may take, given
 the number top of colors used on earlier edges.  Both try the fresh color top
 first: exact_turan then tries None, "left out", so distinct edges get
 distinct colors and a rainbow copy is a copy; exact_anti_ramsey then tries
@@ -167,11 +169,18 @@ def _vetoed(copies: list[tuple[int, ...]], val: list[Optional[int]], c: int) -> 
     return False
 
 
-def _bump(cnt: list[int], mask: int, d: int) -> None:
-    """Add d to cnt[v] for every vertex v in mask."""
+def _bump(cnt: list[int], mask: int, d: int) -> int:
+    """Add d to cnt[v] for every vertex v in mask; return how many there are."""
+    size = mask.bit_count()
     while mask:
         cnt[(mask & -mask).bit_length() - 1] += d
         mask &= mask - 1
+    return size
+
+
+def _deficit(old: int, mask: int) -> int:
+    """The growth of the deficit D when a color whose edges share old goes on edge `mask`."""
+    return (old & ~mask).bit_count()
 
 
 def _star(least: int, near: int, mask: int, old: int) -> int:
@@ -207,14 +216,15 @@ def _branch_and_bound(
     every later edge could not beat the best leaf.  Both solvers pass True.
     False exists for differential tests: with the anti-Ramsey values and no
     veto, the node count is then the sum of Bell(j) over 1 <= j <= len(edges).
-    It switches off the color-count bound and the global cap and star cut
+    It switches off the color-count bound and the deficit cap and star cut
     below, not the first-edge rule, which test_first_edge_rule_against_brute
     checks.
 
     The loop keeps its place in arrays, not in recursion, so host size is not
     capped by the recursion limit: tops[j] counts the colors before edge j,
     nxt[j] indexes its next value.  A value meets the color-count bound, the
-    star cut below in O(1), then the veto, and only then is it applied.
+    deficit cap and the star cut below in O(1), then the veto, and only then
+    is it applied.
 
     Edge 0 keeps the first value that fits: that value gets no sibling.  This
     is sound when the first value of choices(0) is color 0.  A leaf's color
@@ -233,11 +243,18 @@ def _branch_and_bound(
     v leaves a leaf on n - 1 vertices: a coloring of K_{n-1}^r with c - L(v)
     colors that still has no rainbow copy, since a copy there is a copy
     here.  So c - L(v) <= below at every v.
-    * Global cap.  The edges of one color share at most r vertices, so the
-      sum of L(v) is at most r*c, and summing over v gives
-      (n - r)*c <= n*below.  Once best reaches n*below // (n - r) no leaf
-      can beat it, and the loop stops.  For turan this is the
-      Katona-Nemetz-Simonovits averaging bound.
+    * Deficit cap.  The edges of color c share the vertices common_c, so
+      the sum of L(v) is r*c - D, with the deficit D the sum over colors of
+      r - |common_c|, and summing c - L(v) <= below over v gives
+      (n - r)*c <= room = n*below - D.  common_c only shrinks down a branch,
+      so D only grows, and a child with (n - r)*(best + 1) > room has only
+      leaves with c <= best.  Only an old color c on edge j adds to D, by
+      _deficit(common[c], masks[j]) <= r, the vertices whose cnt it lowers:
+      room pays it when the color is applied and gets it back on backtrack,
+      and it is read only when room is below bar = (n - r)*(best + 1) + r.
+      At the root D = 0: once best reaches n*below // (n - r) no leaf can
+      beat it, and the loop stops.  For turan every color is one edge, D
+      stays 0 and this is the Katona-Nemetz-Simonovits averaging bound.
     * Star cut.  After edge j is decided, a color counts in a leaf's L(v)
       only if all its edges so far contain v, or if it is opened later, by
       an undecided edge at v.  So L(v) <= cnt[v] + rem[j + 1][v], where
@@ -273,9 +290,11 @@ def _branch_and_bound(
 
     ladder = prune_bound and below is not None
     cap = M + 1  # no leaf reaches it: no stop
+    bar = r  # (n - r)*(best + 1) + r: below it, room may cut a reused color
     if ladder:
         if n > r:
             cap = n * below // (n - r)
+        room = n * below  # n*below - D, D the deficit of the colors so far
         rem = [[0] * n]  # rem[j][v]: edges j.. at v, built from the back
         for e in reversed(edges):
             row = rem[-1][:]
@@ -302,6 +321,7 @@ def _branch_and_bound(
         if j == M:
             if top > best:
                 best, best_values = top, tuple(val)
+                bar = (n - r) * (best + 1) + r
                 if best >= cap:
                     break
             j -= 1
@@ -311,7 +331,7 @@ def _branch_and_bound(
             if val[j] == top:
                 _bump(cnt, common.pop(), -1)
             else:
-                _bump(cnt, olds[j] & ~common[val[j]], 1)
+                room += _bump(cnt, olds[j] & ~common[val[j]], 1)
                 common[val[j]] = olds[j]
         while i < len(opts):
             c = opts[i]
@@ -328,6 +348,8 @@ def _branch_and_bound(
             val[j] = c
             up = top + (c == top)
             cut, star = prune_bound and up + M - j - 1 <= best, -1  # -1: star not found
+            if ladder and room < bar and c is not None and c < top and not cut:
+                cut = _deficit(common[c], masks[j]) > room - bar + r
             if ladder and not cut and below + low[j] <= best:
                 if c == top and fresh[j] < 0:
                     fresh[j] = min(map(add, cnt, rem[j]))
@@ -353,7 +375,7 @@ def _branch_and_bound(
                 else:
                     olds[j] = common[c]
                     common[c] &= masks[j]
-                    _bump(cnt, olds[j] & ~masks[j], -1)
+                    room -= _bump(cnt, olds[j] & ~masks[j], -1)
             nxt[j] = i if j else len(opts)
             j += 1
             tops[j], nxt[j], fresh[j], floor[j], near[j] = up, 0, star, -1, -1

@@ -85,7 +85,7 @@ def _book3() -> Hypergraph:
 def _crit_k4_exact(budget) -> list[CheckRow]:
     rows = []
     K4 = complete_graph(4)
-    for n in range(4, 8):
+    for n in range(4, 9):
         want = n * n // 4 + 2
         rows.append(_exact_row(f"k4-exact: ar({n},K4) == {want}", want,
                                exact_anti_ramsey(n, K4, budget=budget)))

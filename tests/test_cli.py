@@ -316,14 +316,14 @@ class TestVerifyCommand:
     def test_only_k4_exact(self, capsys):
         assert run_command(["verify-paper", "--only", "k4-exact"]) == 0
         out = capsys.readouterr().out
-        assert "4 passed, 0 failed" in out
-        assert out.count("ok ") == 4
+        assert "5 passed, 0 failed" in out
+        assert out.count("ok ") == 5
 
     def test_only_k4_exact_json(self, capsys):
         argv = ["verify-paper", "--only", "k4-exact", "--format", "json"]
         assert run_command(argv) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
-        assert len(rows) == 4
+        assert len(rows) == 5
         keys = {f.name for f in fields(CheckRow)}
         assert all(set(row) == keys and row["verdict"] == "pass" for row in rows)
 

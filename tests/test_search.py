@@ -19,13 +19,14 @@ from arl.constructions import (
     turan_count,
 )
 from arl.coloring import find_rainbow_copy
-from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph
+from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph, vertex_mask
 from arl.search import (
     SearchBudget,
     _VALUES,
     _branch_and_bound,
     _bump,
     _copy_tables,
+    _deficit,
     _solve,
     _star,
     exact_anti_ramsey,
@@ -494,17 +495,18 @@ def test_budget_gives_exact_or_feasible_best_so_far(solve, n, fam):
     [
         (lambda: exact_turan(7, [K4]), 137),
         (lambda: exact_turan(6, [complete_hypergraph(4, 3)]), 178),
-        (lambda: exact_anti_ramsey(5, K4), 477),
-        (lambda: exact_anti_ramsey(5, cycle_graph(4)), 877),
-        (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 972),
+        (lambda: exact_anti_ramsey(5, K4), 421),
+        (lambda: exact_anti_ramsey(5, cycle_graph(4)), 622),
+        (lambda: exact_anti_ramsey(5, complete_hypergraph(4, 3)), 189),
         (lambda: exact_turan(8, [K3]), 276),
         (lambda: exact_turan(7, [K3, cycle_graph(5)]), 152),
-        (lambda: exact_anti_ramsey(6, K3), 3109),
-        (lambda: exact_anti_ramsey(7, K3), 56006),
-        (lambda: exact_anti_ramsey(7, K4), 87324),
+        (lambda: exact_anti_ramsey(6, K3), 124),
+        (lambda: exact_anti_ramsey(7, K3), 230),
+        (lambda: exact_anti_ramsey(7, K4), 7049),
+        (lambda: exact_anti_ramsey(8, K3), 391),
     ],
     ids=["ex(7,K4)", "ex(6,K4^3)", "ar(5,K4)", "ar(5,C4)", "ar(5,K4^3)",
-         "ex(8,K3)", "ex(7,{K3,C5})", "ar(6,K3)", "ar(7,K3)", "ar(7,K4)"],
+         "ex(8,K3)", "ex(7,{K3,C5})", "ar(6,K3)", "ar(7,K3)", "ar(7,K4)", "ar(8,K3)"],
 )
 def test_node_counts_pinned(solve, nodes):
     # solver node counts, summed over the rungs of the climb, are
@@ -549,6 +551,33 @@ def test_star_in_o1_against_recount(data):
     assert star == min(map(add, cnt, rem)) >= 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_deficit_in_o1_against_recount(data):
+    # a coloring of K_n^r built edge by edge, each edge a fresh color or an
+    # old one: what _deficit charges the old ones, which is what _bump
+    # takes off cnt, sums to the deficit D = sum over colors of
+    # r - |common|, and cnt, recounted, sums to r*c - D, the identity the
+    # deficit cap rests on
+    r = data.draw(st.integers(1, 3), label="r")
+    n = data.draw(st.integers(r, 6), label="n")
+    common, cnt, charged = [], [0] * n, 0
+    for e in kn_edges(n, r):
+        mask = vertex_mask(e)
+        c = data.draw(st.integers(0, len(common)), label=f"color of {e}")
+        if c == len(common):
+            common.append(mask)
+            assert _bump(cnt, mask, 1) == r
+        else:
+            charged += _deficit(common[c], mask)
+            old, common[c] = common[c], common[c] & mask
+            assert _bump(cnt, old & ~mask, -1) == _deficit(old, mask)
+    deficit = sum(r - m.bit_count() for m in common)
+    assert charged == deficit
+    assert cnt == [sum(m >> v & 1 for m in common) for v in range(n)]
+    assert sum(cnt) == r * len(common) - deficit
+
+
 def run_loop(n, fam, turan, below=None, values=None, **budget):
     """The loop on n vertices with the solver's values, or the given ones,
     and bound, leaning on below when it is given, as (status, best, values,
@@ -578,9 +607,7 @@ LADDER_CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("turan", [True, False], ids=["turan", "anti_ramsey"])
-@pytest.mark.parametrize("n, fam", LADDER_CORPUS)
-def test_ladder_cuts_against_unaided_and_brute(turan, n, fam):
+def check_ladder_cuts(turan, n, fam):
     # below is the value on n - 1 vertices; the cuts drop only leaves no
     # better than the best so far, so the cut run reaches the unaided run's
     # value and witness, in no more nodes
@@ -595,6 +622,26 @@ def test_ladder_cuts_against_unaided_and_brute(turan, n, fam):
         assert cut_best == brute_ex(n, fam, r)
     elif len(fam) == 1 and comb(n, r) <= 6:
         assert max(cut_best, 0) + 1 == brute_ar(n, fam[0])
+
+
+@pytest.mark.parametrize("turan", [True, False], ids=["turan", "anti_ramsey"])
+@pytest.mark.parametrize("n, fam", LADDER_CORPUS)
+def test_ladder_cuts_against_unaided_and_brute(turan, n, fam):
+    check_ladder_cuts(turan, n, fam)
+
+
+def test_ladder_cuts_against_unaided_and_brute_on_random_patterns():
+    # the deficit cap fires only where a color is reused, that is on
+    # anti-Ramsey runs; a single-edge member leaves no leaf and nothing to cut
+    rng = random.Random(2606)
+    for r in (2, 3):
+        done = 0
+        while done < 20:
+            n = rng.randint(r + 1, 6 if r == 2 else 5)
+            fam = [random_pattern(rng, r, max_v=n) for _ in range(rng.randint(1, 2))]
+            if min(f.num_edges for f in fam) > 1:
+                check_ladder_cuts(False, n, fam)
+                done += 1
 
 
 def solve_ar(n, fam, values):
@@ -667,8 +714,8 @@ LADDERS = [
     ("turan", K4, {2: 1, 3: 3, 4: 5, 5: 8, 6: 12, 7: 16, 8: 21}),
     ("turan", cycle_graph(4), {2: 1, 3: 3, 4: 4, 5: 6, 6: 7, 7: 9, 8: 11}),
     ("turan", complete_hypergraph(4, 3), {3: 1, 4: 3, 5: 7, 6: 14}),
-    ("anti_ramsey", K3, {2: 1, 3: 2, 4: 3, 5: 4, 6: 5}),
-    ("anti_ramsey", K4, {2: 1, 3: 3, 4: 5, 5: 7, 6: 10}),
+    ("anti_ramsey", K3, {2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 7, 9: 8}),
+    ("anti_ramsey", K4, {2: 1, 3: 3, 4: 5, 5: 7, 6: 10, 7: 13, 8: 17}),
     ("anti_ramsey", cycle_graph(4), {2: 1, 3: 3, 4: 4, 5: 5, 6: 7}),
     ("anti_ramsey", complete_hypergraph(4, 3), {3: 1, 4: 3, 5: 6}),
 ]
