@@ -30,8 +30,15 @@ Run it as:
     PYTHONPATH=src python3 scripts/bench_ladder.py <label>
 
 The file is written to the current directory.  It uses only the public
-solver API, so the same script can time an older checkout: run it there with
-that checkout's src on PYTHONPATH.
+solver API, so the same script can time an older checkout.  To compare
+one, pass its src:
+
+    PYTHONPATH=src python3 scripts/bench_ladder.py <label> --parent OLD/src
+
+Each row's repeats then alternate between OLD/src and this src, each run in
+a fresh interpreter (which times it with --row), so drift of the machine
+lands on both sides of the pair alike; the one run writes
+BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src.
 """
 
 import argparse
@@ -39,6 +46,8 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -118,67 +127,100 @@ OUTSIDE = [
 ]
 
 
-def src_lines() -> int:
-    """Newlines in the *.py files beside arl.__file__, as wc -l counts them."""
-    return sum(p.read_bytes().count(b"\n") for p in Path(arl.__file__).parent.glob("*.py"))
+def src_lines(src: Path) -> int:
+    """Newlines in the library's *.py files under src, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "arl").glob("*.py"))
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("label", help="names the output file BENCH_<label>.json")
-    args = ap.parse_args()
-
-    rows = {}
-    for name, solve in LADDER:
-        walls, reports = [], []
-        for _ in range(REPEATS):
+def run_row(name: str) -> dict:
+    """Run the named row once and return its wall time and what it found."""
+    for ladder_name, solve in LADDER:
+        if ladder_name == name:
             t0 = time.perf_counter()
             rep = solve(SearchBudget(max_seconds=MAX_SECONDS))
-            walls.append(time.perf_counter() - t0)
-            reports.append(rep)
-        rows[name] = {
-            "value": reports[0].value,
-            "status": reports[0].status,
-            "nodes": reports[0].nodes,
-            "wall_s": statistics.median(walls),
-            "wall_s_runs": walls,
-            "nodes_runs": [rep.nodes for rep in reports],
-        }
-        print(f"{name:<11} value={reports[0].value} status={reports[0].status} "
-              f"nodes={reports[0].nodes} wall_s={statistics.median(walls):.2f}", flush=True)
-
-    outside = {}
-    for name, op, summary, nodes in OUTSIDE:
-        walls = []
-        for _ in range(REPEATS):
+            wall = time.perf_counter() - t0
+            return {"value": rep.value, "status": rep.status, "nodes": rep.nodes, "wall_s": wall}
+    for outside_name, op, summary, nodes in OUTSIDE:
+        if outside_name == name:
             t0 = time.perf_counter()
             result = op()
-            walls.append(time.perf_counter() - t0)
-        outside[name] = {
-            "result": summary(result),
-            "find_nodes": None if nodes is None else nodes(),
-            "wall_s": statistics.median(walls),
-            "wall_s_runs": walls,
-        }
-        print(f"{name:<40} result={outside[name]['result']} "
-              f"find_nodes={outside[name]['find_nodes']} "
-              f"wall_s={statistics.median(walls):.4f}", flush=True)
+            wall = time.perf_counter() - t0
+            return {"result": summary(result), "find_nodes": None if nodes is None else nodes(),
+                    "wall_s": wall}
+    raise SystemExit(f"no row named {name!r}")
 
+
+def run_row_in(src: Path, name: str) -> dict:
+    """Run the named row once in a fresh interpreter that imports arl from src."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, __file__, "--row", name], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def summarize(runs: list) -> dict:
+    """One row's record: the first run's findings, the median and each run's wall time."""
+    walls = [run["wall_s"] for run in runs]
+    row = {k: v for k, v in runs[0].items() if k != "wall_s"}
+    row.update(wall_s=statistics.median(walls), wall_s_runs=walls)
+    if "nodes" in row:
+        row["nodes_runs"] = [run["nodes"] for run in runs]
+    return row
+
+
+def write(label: str, src: Path, rows: dict) -> None:
+    """Write BENCH_<label>.json: the rows timed against the library in src."""
+    names = [name for name, *_ in LADDER]
     out = {
-        "label": args.label,
+        "label": label,
         "budget_s": MAX_SECONDS,
         "repeats": REPEATS,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "src_lines": src_lines(),
-        "instances": rows,
-        "outside_solver": outside,
+        "src_lines": src_lines(src),
+        "instances": {name: rows[name] for name in names},
+        "outside_solver": {name: row for name, row in rows.items() if name not in names},
     }
-    path = f"BENCH_{args.label}.json"
+    path = f"BENCH_{label}.json"
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("label", nargs="?", help="names the output file BENCH_<label>.json")
+    ap.add_argument("--parent", type=Path, metavar="SRC",
+                    help="also time the library in SRC, alternating with this one, "
+                         "each run in a fresh interpreter; write BENCH_pre<label>.json too")
+    # the child of --parent: run one row once and print its record as JSON
+    ap.add_argument("--row", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.row is not None:
+        print(json.dumps(run_row(args.row)))
+        return 0
+    if args.label is None:
+        ap.error("a label is required")
+
+    here = Path(arl.__file__).resolve().parent.parent
+    trees = {args.label: here} if args.parent is None else {
+        "pre" + args.label: args.parent.resolve(), args.label: here}
+    rows: dict = {label: {} for label in trees}
+    for name in [name for name, *_ in LADDER] + [name for name, *_ in OUTSIDE]:
+        runs: dict = {label: [] for label in trees}
+        for k in range(REPEATS):
+            # alternate which tree goes first, so neither always runs warmer
+            for label in list(trees)[:: 1 if k % 2 == 0 else -1]:
+                run = run_row(name) if args.parent is None else run_row_in(trees[label], name)
+                runs[label].append(run)
+        for label in trees:
+            rows[label][name] = row = summarize(runs[label])
+            found = " ".join(f"{k}={v}" for k, v in row.items()
+                             if k in ("value", "status", "nodes", "result", "find_nodes"))
+            print(f"{label:<10} {name:<40} {found} wall_s={row['wall_s']:.4f}", flush=True)
+    for label, src in trees.items():
+        write(label, src, rows[label])
     return 0
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from operator import add
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .canonical import stabilizer_orbits
@@ -169,11 +168,11 @@ def _vetoed(copies: list[tuple[int, ...]], val: list[Optional[int]], c: int) -> 
     return False
 
 
-def _bump(cnt: list[int], mask: int, d: int) -> int:
-    """Add d to cnt[v] for every vertex v in mask; return how many there are."""
+def _bump(counts: list[int], mask: int, d: int) -> int:
+    """Add d to counts[v] for every vertex v in mask; return how many there are."""
     size = mask.bit_count()
     while mask:
-        cnt[(mask & -mask).bit_length() - 1] += d
+        counts[(mask & -mask).bit_length() - 1] += d
         mask &= mask - 1
     return size
 
@@ -183,11 +182,16 @@ def _deficit(old: int, mask: int) -> int:
     return (old & ~mask).bit_count()
 
 
-def _star(least: int, near: int, mask: int, old: int) -> int:
-    """The star minimum after a color whose edges share the vertex mask old goes on an edge
-    of vertex mask `mask`: m0 = least, or m0 - 1 >= 0 (cnt >= 1 on old) if old meets A = near
-    off the edge."""
-    return least - 1 if old & near & ~mask else least
+def _raises(slack: list[int], peak: int, edge: tuple[int, ...], extra: int) -> bool:
+    """Whether slack is peak at some vertex of edge or of the mask extra."""
+    for v in edge:
+        if slack[v] == peak:
+            return True
+    while extra:
+        if slack[(extra & -extra).bit_length() - 1] == peak:
+            return True
+        extra &= extra - 1
+    return False
 
 
 def _branch_and_bound(
@@ -223,8 +227,8 @@ def _branch_and_bound(
     The loop keeps its place in arrays, not in recursion, so host size is not
     capped by the recursion limit: tops[j] counts the colors before edge j,
     nxt[j] indexes its next value.  A value meets the color-count bound, the
-    deficit cap and the star cut below in O(1), then the veto, and only then
-    is it applied.
+    deficit cap and, once its edge's peak is known, the star cut below in
+    O(r), then the veto, and only then is it applied.
 
     Edge 0 keeps the first value that fits: that value gets no sibling.  This
     is sound when the first value of choices(0) is color 0.  A leaf's color
@@ -249,27 +253,27 @@ def _branch_and_bound(
       (n - r)*c <= room = n*below - D.  common_c only shrinks down a branch,
       so D only grows, and a child with (n - r)*(best + 1) > room has only
       leaves with c <= best.  Only an old color c on edge j adds to D, by
-      _deficit(common[c], masks[j]) <= r, the vertices whose cnt it lowers:
+      _deficit(common[c], masks[j]) <= r, the vertices c stops counting at:
       room pays it when the color is applied and gets it back on backtrack,
       and it is read only when room is below bar = (n - r)*(best + 1) + r.
       At the root D = 0: once best reaches n*below // (n - r) no leaf can
       beat it, and the loop stops.  For turan every color is one edge, D
       stays 0 and this is the Katona-Nemetz-Simonovits averaging bound.
     * Star cut.  After edge j is decided, a color counts in a leaf's L(v)
-      only if all its edges so far contain v, or if it is opened later, by
-      an undecided edge at v.  So L(v) <= cnt[v] + rem[j + 1][v], where
-      cnt[v] counts the colors so far whose edges all contain v (kept from a
-      per-color AND of vertex masks, undone on backtrack) and rem[j + 1][v]
-      the edges after j at v.  A child with
-      below + cnt[v] + rem[j + 1][v] <= best at some v has only leaves with
-      c <= best.  For turan this is the minimum-degree condition
-      delta >= ex(n) - ex(n-1).  All values of edge j start from one state,
-      with m0 = min_v cnt[v] + rem[j + 1][v] attained on A.  After None it is
-      m0; after a fresh color, min_v cnt[v] + rem[j][v], as cnt gains what
-      rem[j] has over rem[j + 1], and edge j - 1's value was cut against it;
-      after an old color c, m0 - 1 if common[c] meets A off edge j, else m0,
-      so A is read only when below + m0 = best + 1.  None is below
-      min_v rem[j + 1][v] - 1, and each is found only when a value needs it.
+      only if all its edges so far contain v, or if one of the undecided
+      edges at v opens it.  So L(v) <= deg - slack[v], where deg =
+      C(n - 1, r - 1) counts the edges at v and slack[v] the decided ones
+      less the colors whose edges so far all contain v, and a child with
+      below + deg - max(slack) <= best has only leaves with c <= best.  For
+      turan this is the minimum-degree condition delta >= ex(n) - ex(n-1).
+      A fresh color leaves slack as it is (edge j adds an edge and a color
+      at each of its vertices), None adds 1 on edge j, and an old color c
+      adds 1 on edge j and on the vertices _deficit charges; backtracking
+      undoes it.  Each vertex gains at most 1, so max(slack) gains at most 1
+      over peak[j], its maximum before edge j, filled when first needed on
+      each visit, and _raises reads the gain only when below + deg - peak[j]
+      = best + 1.  With at[v] the edges 0..j at v, slack <= at, so the cut
+      is tried only if below + low[j] <= best, low[j] = deg - max(at) - 1.
     Both cuts drop only leaves with c <= best, and best only grows, so the
     best leaf found is the one the search without them finds, whatever the
     first-edge rule or the color-count bound has already dropped.
@@ -295,20 +299,18 @@ def _branch_and_bound(
         if n > r:
             cap = n * below // (n - r)
         room = n * below  # n*below - D, D the deficit of the colors so far
-        rem = [[0] * n]  # rem[j][v]: edges j.. at v, built from the back
-        for e in reversed(edges):
-            row = rem[-1][:]
+        deg = comb(n - 1, r - 1) if n else 0  # the edges at each vertex
+        low, at, most = [], [0] * n, 0  # at[v]: edges 0..j at v, most: their maximum
+        for e in edges:
             for v in e:
-                row[v] += 1
-            rem.append(row)
-        rem.reverse()
-        low = [min(row, default=0) - 1 for row in rem[1:]]  # no star minimum after edge j is below
+                at[v] += 1
+                most = max(most, at[v])
+            low.append(deg - most - 1)
     common: list[int] = []  # color -> AND of the vertex masks of its edges
-    cnt = [0] * n  # v -> colors whose edges all contain v
+    slack = [0] * n  # v -> decided edges at v less the colors whose edges all contain v
     olds = [0] * M  # edge -> its color's AND before it, when it reused one
     tops, nxt = [0] * (M + 1), [0] * (M + 1)  # edge -> colors before it, index of its next value
-    # edge -> m0, A and the minimum after a fresh color, each -1 until needed
-    floor, near, fresh = [-1] * (M + 1), [-1] * (M + 1), [-1] * (M + 1)
+    peak = [-1] * (M + 1)  # edge -> max(slack) before it, -1 until needed
 
     nodes = 0
     ticks, late = 0, False  # read the clock once ticks runs out
@@ -327,12 +329,16 @@ def _branch_and_bound(
             j -= 1
             continue
         opts, i = options[top], nxt[j]
-        if i and ladder and val[j] is not None:  # back from the subtree of val[j]
-            if val[j] == top:
-                _bump(cnt, common.pop(), -1)
+        if i and ladder:  # back from the subtree of val[j]
+            c = val[j]
+            if c == top:
+                common.pop()
             else:
-                room += _bump(cnt, olds[j] & ~common[val[j]], 1)
-                common[val[j]] = olds[j]
+                for v in edges[j]:
+                    slack[v] -= 1
+                if c is not None:
+                    room += _bump(slack, olds[j] & ~common[c], -1)
+                    common[c] = olds[j]
         while i < len(opts):
             c = opts[i]
             i += 1
@@ -347,38 +353,31 @@ def _branch_and_bound(
                 break
             val[j] = c
             up = top + (c == top)
-            cut, star = prune_bound and up + M - j - 1 <= best, -1  # -1: star not found
+            cut = prune_bound and up + M - j - 1 <= best
             if ladder and room < bar and c is not None and c < top and not cut:
                 cut = _deficit(common[c], masks[j]) > room - bar + r
             if ladder and not cut and below + low[j] <= best:
-                if c == top and fresh[j] < 0:
-                    fresh[j] = min(map(add, cnt, rem[j]))
-                if c != top and floor[j] < 0:
-                    floor[j] = min(map(add, cnt, rem[j + 1]))
-                star = fresh[j] if c == top else floor[j] if c is None else -1
-                if star < 0 and below + floor[j] == best + 1:  # only here can a drop decide
-                    if near[j] < 0:
-                        near[j] = 0
-                        for v, x in enumerate(map(add, cnt, rem[j + 1])):
-                            near[j] |= (x == floor[j]) << v
-                    star = _star(floor[j], near[j], masks[j], common[c])
-                cut = below + (floor[j] if star < 0 else star) <= best
-            if cut and j or c is not None and _vetoed(table[j], val, c):
+                if peak[j] < 0:
+                    peak[j] = max(slack)
+                gap = below + deg - peak[j] - best  # cut if gap - (the raise) <= 0
+                if gap == 1 and c != top:
+                    gap -= _raises(slack, peak[j], edges[j], 0 if c is None else common[c] & ~masks[j])
+                cut = gap <= 0
+            if cut or c is not None and _vetoed(table[j], val, c):
                 continue
-            if cut:  # edge 0 keeps its first value that fits, which is cut
-                j = -1
-                break
-            if ladder and c is not None:
+            if ladder:
                 if c == top:
                     common.append(masks[j])
-                    _bump(cnt, masks[j], 1)
                 else:
-                    olds[j] = common[c]
-                    common[c] &= masks[j]
-                    room -= _bump(cnt, olds[j] & ~masks[j], -1)
+                    for v in edges[j]:
+                        slack[v] += 1
+                    if c is not None:
+                        olds[j] = common[c]
+                        common[c] &= masks[j]
+                        room -= _bump(slack, olds[j] & ~masks[j], 1)
             nxt[j] = i if j else len(opts)
             j += 1
-            tops[j], nxt[j], fresh[j], floor[j], near[j] = up, 0, star, -1, -1
+            tops[j], nxt[j], peak[j] = up, 0, -1
             break
         else:
             j -= 1

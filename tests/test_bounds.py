@@ -4,8 +4,15 @@ import pytest
 
 import arl.bounds
 from arl.bounds import bound_report
-from arl.constructions import complete_graph, path_graph, single_edge
+from arl.constructions import (
+    complete_graph,
+    minus_family,
+    path_graph,
+    pendant_minus_family,
+    single_edge,
+)
 from arl.search import SearchBudget, exact_turan
+from helpers import brute_ex
 
 K3 = complete_graph(3)
 
@@ -64,6 +71,18 @@ class TestExpandedPathTable:
         assert bound_report(6, path_graph(2), r=3).target.r == 3
         with pytest.raises(ValueError):
             bound_report(6, path_graph(2), r=1)
+
+
+class TestPendantFamily:
+    def test_row_solves_the_pendant_family_when_it_differs(self):
+        # the 4-edge path loses a pendant edge only at its ends, leaving the
+        # 3-edge path; its minus family also holds a 2-edge path plus an edge
+        target = path_graph(4)
+        fam = pendant_minus_family(target, 1)
+        assert fam.members != minus_family(target).members
+        assert brute_ex(5, list(fam.members), 2) == exact_turan(5, fam).value == 4
+        row = row_map(bound_report(5, target))["upper-pendant-k1"]
+        assert (row.relation, row.rhs) == ("<=", 4 + 3 * 5)
 
 
 class TestTargetFit:

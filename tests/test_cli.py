@@ -171,6 +171,10 @@ class TestSolve:
     def test_missing_file(self, capsys):
         assert run_command(["solve", "ex", "--n", "5", "--in", "/nope.txt"]) == 2
 
+    def test_two_patterns_for_ar_is_usage_error(self, capsys):
+        assert run_command(["solve", "ar", "--n", "4", "--family", "K3,K4"]) == 2
+        assert "exactly one pattern expected here" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -515,3 +515,18 @@ class TestMerge:
             for a in range(chi.num_colors):
                 for b in range(a + 1, chi.num_colors):
                     assert find_rainbow_copy(merge_colors(chi, a, b), f) is None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Coloring(2, 3, (), 1), "empty edge set cannot use any color"),
+        (lambda: make_coloring(3, 2, [0, 1, 2]).color_of((0, 1, 2)),
+         "(0, 1, 2) is not an r-subset"),
+    ],
+    ids=["colors_without_edges", "color_of_a_triple"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

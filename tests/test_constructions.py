@@ -349,3 +349,23 @@ class TestNamed:
 
     def test_complete_hypergraph(self):
         assert complete_hypergraph(5, 3).num_edges == comb(5, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: blowup(path_graph(2), 0), "blowup factor must be >= 1, got 0"),
+        (lambda: split_vertex(path_graph(2), 3), "vertex 3 out of range"),
+        (lambda: turan_partition(5, 0), "need ell >= 1 and n >= 0"),
+        (lambda: special_blowup_graph("alpha", 1, 4), "need ell >= 2, got 1"),
+        (lambda: path_graph(0), "path needs at least one edge"),
+        (lambda: cycle_graph(2), "cycle needs at least three vertices"),
+        (lambda: named_hypergraph("K1"), "K<m> needs m >= 2"),
+    ],
+    ids=["blowup", "split_vertex", "turan_partition", "special_blowup_graph",
+         "path_graph", "cycle_graph", "named_hypergraph"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from arl import formats
 from arl.bounds import bound_report
 from arl.coloring import make_coloring
-from arl.constructions import complete_graph, turan_hypergraph
+from arl.constructions import complete_graph, single_edge, turan_hypergraph
 from arl.hypergraph import kn_edges, make_hypergraph
-from arl.search import exact_anti_ramsey, exact_turan, verify_feasibility
+from arl.search import SearchReport, exact_anti_ramsey, exact_turan, verify_feasibility
 
 
 def random_hypergraph(rng):
@@ -294,3 +294,27 @@ class TestDumps:
         b = formats.dumps(formats.hypergraph_to_json(h))
         assert a == b and a.endswith("\n")
         assert list(json.loads(a)) == sorted(json.loads(a))
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: formats.coloring_from_text("# no content\n"), ValueError,
+         "empty coloring text"),
+        (lambda: formats.coloring_from_text("3 2\n0 1 2\n"), ValueError,
+         "header must be 'n r num_colors', got '3 2'"),
+        (lambda: formats.report_to_json(SearchReport(1, object(), 0, 0.0, "exact", {})),
+         TypeError, "unserializable witness object"),
+    ],
+    ids=["empty_coloring_text", "short_coloring_header", "unserializable_witness"],
+)
+def test_input_checks(call, kind, message):
+    with pytest.raises(kind) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_report_text_without_witness():
+    # a single edge is rainbow in every coloring: ar = 1 and there is no witness
+    text = formats.report_to_text(exact_anti_ramsey(3, single_edge(2)))
+    assert "witness: none" in text.splitlines()

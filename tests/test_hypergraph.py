@@ -189,3 +189,22 @@ class TestFamily:
         assert fam.r == 3 and len(fam) == 0
         with pytest.raises(ValueError):
             make_family([])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kn_edges(-1, 2), "n and r must be nonnegative"),
+        (lambda: relabel(K3, [0, 0, 1]), "perm must be a permutation of range(n)"),
+        (lambda: remove_vertices(K3, [3]), "vertex out of range"),
+        (lambda: is_independent(K3, [-1]), "vertex out of range"),
+        (lambda: is_independent(K3, [0], "medium"), "unknown independence mode 'medium'"),
+        (lambda: independent_sets(K3, "medium"), "unknown independence mode 'medium'"),
+    ],
+    ids=["kn_edges", "relabel", "remove_vertices", "is_independent_range",
+         "is_independent_mode", "independent_sets_mode"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -1,7 +1,6 @@
 import random
 import time
 from math import comb
-from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +26,8 @@ from arl.search import (
     _bump,
     _copy_tables,
     _deficit,
+    _raises,
     _solve,
-    _star,
     exact_anti_ramsey,
     exact_turan,
     verify_feasibility,
@@ -518,64 +517,95 @@ def test_node_counts_pinned(solve, nodes):
     assert rep.nodes == nodes
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_star_in_o1_against_recount(data):
-    # on a random state, the loop's star minimum after a value matches the
-    # one recounted after the value's bookkeeping: m0 after None, the
-    # minimum over rem[j] after a fresh color (rem[j] exceeds rem[j + 1] by
-    # one on edge j), and _star after an old color; cnt[v] counts the colors
-    # whose common AND holds v
-    n = data.draw(st.integers(1, 7), label="n")
-    masks = st.integers(1, (1 << n) - 1)
-    common = data.draw(st.lists(masks, max_size=5), label="common")
-    cnt = [sum(m >> v & 1 for m in common) for v in range(n)]
-    rem = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n), label="rem")
-    mask = data.draw(masks, label="edge")
-    c = data.draw(st.sampled_from([None, *range(len(common) + 1)]), label="value")
-    least = min(map(add, cnt, rem))
-    near = sum(1 << v for v in range(n) if cnt[v] + rem[v] == least)
-    fresh = min(cnt[v] + rem[v] + (mask >> v & 1) for v in range(n))
-    assert fresh == least + (not near & ~mask)
-    if c is None:
-        star = least
-    elif c == len(common):
-        star = fresh
-        common.append(mask)
-        _bump(cnt, mask, 1)
-    else:
-        star = _star(least, near, mask, common[c])
-        old = common[c]
-        common[c] &= mask
-        _bump(cnt, old & ~mask, -1)
-    assert star == min(map(add, cnt, rem)) >= 0
+def walk_the_loop(data, check):
+    """A random walk of the loop's slack bookkeeping over K_n^r, r in 1..3.
 
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_deficit_in_o1_against_recount(data):
-    # a coloring of K_n^r built edge by edge, each edge a fresh color or an
-    # old one: what _deficit charges the old ones, which is what _bump
-    # takes off cnt, sums to the deficit D = sum over colors of
-    # r - |common|, and cnt, recounted, sums to r*c - D, the identity the
-    # deficit cap rests on
+    Each step applies a value to the next edge (None, a fresh color or an
+    old one) or undoes the last one, with the rules of _branch_and_bound.
+    After each applied value it calls check(n, r, edges, vals, common,
+    slack, deficit, peak, raised): peak is max(slack) before the value,
+    raised what _raises said of it (False for a fresh color), and deficit
+    the sum of what the old colors' _bump calls returned, undone on the way
+    back."""
     r = data.draw(st.integers(1, 3), label="r")
     n = data.draw(st.integers(r, 6), label="n")
-    common, cnt, charged = [], [0] * n, 0
-    for e in kn_edges(n, r):
+    edges = kn_edges(n, r)
+    slack, common, olds, tops, vals, deficit = [0] * n, [], [], [], [], 0
+    for _ in range(data.draw(st.integers(0, 3 * len(edges)), label="steps")):
+        if vals and (len(vals) == len(edges) or data.draw(st.booleans(), label="undo")):
+            c, top, e, old = vals.pop(), tops.pop(), edges[len(vals)], olds.pop()
+            if c == top:
+                common.pop()
+            else:
+                for v in e:
+                    slack[v] -= 1
+                if c is not None:
+                    deficit -= _bump(slack, old & ~common[c], -1)
+                    common[c] = old
+            continue
+        e, top = edges[len(vals)], len(common)
         mask = vertex_mask(e)
-        c = data.draw(st.integers(0, len(common)), label=f"color of {e}")
-        if c == len(common):
+        c = data.draw(st.sampled_from([top, None, *range(top)]), label=f"value of {e}")
+        peak, old = max(slack), None if c is None or c == top else common[c]
+        raised = c != top and _raises(slack, peak, e, 0 if old is None else old & ~mask)
+        if c == top:
             common.append(mask)
-            assert _bump(cnt, mask, 1) == r
         else:
-            charged += _deficit(common[c], mask)
-            old, common[c] = common[c], common[c] & mask
-            assert _bump(cnt, old & ~mask, -1) == _deficit(old, mask)
-    deficit = sum(r - m.bit_count() for m in common)
-    assert charged == deficit
-    assert cnt == [sum(m >> v & 1 for m in common) for v in range(n)]
-    assert sum(cnt) == r * len(common) - deficit
+            for v in e:
+                slack[v] += 1
+            if old is not None:
+                common[c] &= mask
+                assert _bump(slack, old & ~mask, 1) == _deficit(old, mask)
+                deficit += _deficit(old, mask)
+        vals.append(c)
+        tops.append(top)
+        olds.append(old)
+        check(n, r, edges, vals, common, slack, deficit, peak, raised)
+
+
+def recount(n, edges, vals):
+    """(the AND of each color's vertex masks, the decided edges at each vertex)
+    recounted from the values of the first len(vals) edges."""
+    common = {}
+    for e, c in zip(edges, vals):
+        if c is not None:
+            common[c] = common.get(c, vertex_mask(e)) & vertex_mask(e)
+    at = [sum(v in e for e in edges[: len(vals)]) for v in range(n)]
+    return [common[c] for c in sorted(common)], at
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_slack_against_recount(data):
+    # slack[v], kept in O(r) per value, is the decided edges at v less the
+    # colors whose edges all contain v; summed over v it is r*(decided
+    # edges) - r*(colors) + D, with the deficit D = sum of r - |common_c|
+    # that the old colors' _bump calls charged room
+    def check(n, r, edges, vals, common, slack, deficit, peak, raised):
+        kept, at = recount(n, edges, vals)
+        assert common == kept
+        assert slack == [at[v] - sum(m >> v & 1 for m in kept) for v in range(n)]
+        assert deficit == sum(r - m.bit_count() for m in kept)
+        assert sum(slack) == r * len(vals) - r * len(kept) + deficit
+
+    walk_the_loop(data, check)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_peak_and_raise_against_recount(data):
+    # a value raises max(slack) by at most one, and by one exactly when
+    # _raises finds a raised vertex at the peak before it; the static guard
+    # low[j] = deg - (most edges 0..j at one vertex) - 1 stays below the
+    # star deg - max(slack) after edge j, so it never hides a cut
+    def check(n, r, edges, vals, common, slack, deficit, peak, raised):
+        kept, at = recount(n, edges, vals)
+        most = max(a - sum(m >> v & 1 for m in kept) for v, a in enumerate(at))
+        assert peak + raised == most == max(slack)
+        deg = comb(n - 1, r - 1)
+        assert deg - max(at) - 1 < deg - max(slack)
+
+    walk_the_loop(data, check)
 
 
 def run_loop(n, fam, turan, below=None, values=None, **budget):
