@@ -29,15 +29,15 @@ Run it as:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label>
 
-The file is written to the current directory.  It uses only the public
+The file is written to the current directory.  Every run is timed in a
+fresh interpreter (the script itself, with --row).  It uses only the public
 solver API, so the same script can time an older checkout.  To compare
 one, pass its src:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label> --parent OLD/src
 
-Each row's repeats then alternate between OLD/src and this src, each run in
-a fresh interpreter (which times it with --row), so drift of the machine
-lands on both sides of the pair alike; the one run writes
+Each row's repeats then alternate between OLD/src and this src, so drift of
+the machine lands on both sides of the pair alike; the one run writes
 BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src.
 """
 
@@ -192,9 +192,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label", nargs="?", help="names the output file BENCH_<label>.json")
     ap.add_argument("--parent", type=Path, metavar="SRC",
-                    help="also time the library in SRC, alternating with this one, "
-                         "each run in a fresh interpreter; write BENCH_pre<label>.json too")
-    # the child of --parent: run one row once and print its record as JSON
+                    help="also time the library in SRC, alternating with this one; "
+                         "write BENCH_pre<label>.json too")
+    # the child: run one row once and print its record as JSON
     ap.add_argument("--row", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.row is not None:
@@ -212,8 +212,7 @@ def main() -> int:
         for k in range(REPEATS):
             # alternate which tree goes first, so neither always runs warmer
             for label in list(trees)[:: 1 if k % 2 == 0 else -1]:
-                run = run_row(name) if args.parent is None else run_row_in(trees[label], name)
-                runs[label].append(run)
+                runs[label].append(run_row_in(trees[label], name))
         for label in trees:
             rows[label][name] = row = summarize(runs[label])
             found = " ".join(f"{k}={v}" for k, v in row.items()
