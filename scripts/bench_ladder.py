@@ -8,31 +8,39 @@ deficit cap barely cuts), and ar(6,HK3^3), HK3^3 = expansion(K3,3), five
 times under a 300,000-node cap alone: the ladder's cuts are vacuous there,
 so it times the branch-and-bound loop.  ex(24,{K4^3, expansion(K_{4,4},3)})
 runs five times under a 10-node cap alone, which times the symmetry setup
-of the 24-vertex member; nothing is kept between runs, so each run pays for
-it.
+of the 24-vertex member; the setup is not cached, so each run and each
+repeat pays for it.
 ex(10,{expansion(K4,3)}) and ex(10,{expansion(C5,3)}) run five times each
 under a 1-node cap alone: rung 10 is the first one searched, so each run
 times the listing of its copy table (151,200 and 362,880 copies) and ends
 budget_exhausted after 2 nodes.
 It records per instance the value, status, solver nodes (summed over the
-rungs of the climb), the median wall time and the time of each run.  Five
+rungs of the climb), the median wall time and the time of each run.  Seven
 rows outside the solver follow, also timed five times each: the splitting
 family of expansion(C6,3), the weak splitting family of expansion(K5,4),
 the minus family of expansion(K8,3), find_rainbow_copy of K5 in the
 lower-bound coloring on T(12,3) (the Turan graph's edges in distinct
-colors, every other pair in one more), and has_copy of expansion(K5,3) in
-the empty 15-vertex 3-graph.  Each records its result and, for the last
-two, the node count of RainbowEmbedder.find.  It also records src_lines,
-the line count of the library's *.py files, so code size is tracked next to
-the timings.
+colors, every other pair in one more), has_copy of expansion(K5,3) in the
+empty 15-vertex 3-graph, and the copy tables of expansion(K3,3) on 12
+vertices and of C5 on 16 vertices, listed to exhaustion.  Each records its
+result and, for find_rainbow_copy and has_copy, the node count of
+RainbowEmbedder.find; a table row's result is its number of copies.  The
+two table rows time the listing past each pattern's first fit, which the
+solver rows barely reach; they call the private
+arl.search._copy_tables(n, family), whose signature older checkouts share.
+A run whose first pass takes under 50 ms repeats its operation in the same
+interpreter until the repeats take 50 ms, and records the time per
+operation of the repeats and their number as reps.  It also records
+src_lines, the line count of the library's *.py files, so code size is
+tracked next to the timings.
 Run it as:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label>
 
 The file is written to the current directory.  Every run is timed in a
-fresh interpreter (the script itself, with --row).  It uses only the public
-solver API, so the same script can time an older checkout.  To compare
-one, pass its src:
+fresh interpreter (the script itself, with --row).  It uses the public
+solver API and _copy_tables alone, so the same script can time an older
+checkout.  To compare one, pass its src:
 
     PYTHONPATH=src python3 scripts/bench_ladder.py <label> --parent OLD/src
 
@@ -62,8 +70,8 @@ from arl.constructions import (
     splitting_family,
     turan_hypergraph,
 )
-from arl.hypergraph import has_copy, kn_edges, make_hypergraph, vertex_mask
-from arl.search import SearchBudget, exact_anti_ramsey, exact_turan
+from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph, vertex_mask
+from arl.search import SearchBudget, _copy_tables, exact_anti_ramsey, exact_turan
 
 K3, K4, K5, C4 = complete_graph(3), complete_graph(4), complete_graph(5), cycle_graph(4)
 K4_3 = complete_hypergraph(4, 3)
@@ -93,6 +101,7 @@ LADDER = [
 ]
 REPEATS = 5
 MAX_SECONDS = 60.0
+SHORT_S = 0.05  # a run faster than this repeats its operation for this long
 
 
 def lower_bound_coloring(n: int, ell: int, r: int):
@@ -103,12 +112,18 @@ def lower_bound_coloring(n: int, ell: int, r: int):
                                 for e in kn_edges(n, r)])
 
 
+def copies(n: int, f) -> int:
+    """The number of copies of f in the copy table of K_n^r, listed in full."""
+    *_, table = _copy_tables(n, make_family([f]))
+    return sum(map(len, table))
+
+
 def find_nodes(n, f, colors: dict) -> int:
     """Nodes of the free search for f in K_n^r, colors keyed by vertex mask."""
     return RainbowEmbedder(n, f).find(colors.get)[1]
 
 
-HK5, EMPTY15 = expansion(K5, 3), make_hypergraph(15, 3, [])
+HK5, HK3, EMPTY15 = expansion(K5, 3), expansion(K3, 3), make_hypergraph(15, 3, [])
 K5_T = lower_bound_coloring(12, 3, 2)
 K5_T_COLORS = {vertex_mask(e): c for e, c in zip(kn_edges(12, 2), K5_T.colors)}
 # name, operation, result summary, node count of its find (or None)
@@ -124,6 +139,8 @@ OUTSIDE = [
      lambda: find_nodes(12, K5, K5_T_COLORS)),
     ("has_copy(expansion(K5,3), empty K_15^3)",
      lambda: has_copy(HK5, EMPTY15), bool, lambda: find_nodes(15, HK5, {})),
+    ("copy table of expansion(K3,3) in K_12^3", lambda: copies(12, HK3), int, None),
+    ("copy table of C5 in K_16", lambda: copies(16, cycle_graph(5)), int, None),
 ]
 
 
@@ -132,21 +149,34 @@ def src_lines(src: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (src / "arl").glob("*.py"))
 
 
+def timed(op) -> tuple:
+    """op's result and its time per call: one call, or, when that takes
+    under SHORT_S, the mean of as many more as fill SHORT_S, and the count."""
+    t0 = time.perf_counter()
+    result = op()
+    wall, reps = time.perf_counter() - t0, 1
+    if wall < SHORT_S:
+        reps, t0 = 0, time.perf_counter()
+        while time.perf_counter() - t0 < SHORT_S:
+            op()
+            reps += 1
+        wall = (time.perf_counter() - t0) / reps
+    return result, wall, reps
+
+
 def run_row(name: str) -> dict:
-    """Run the named row once and return its wall time and what it found."""
+    """Run the named row in this interpreter and return its time per
+    operation and what it found."""
     for ladder_name, solve in LADDER:
         if ladder_name == name:
-            t0 = time.perf_counter()
-            rep = solve(SearchBudget(max_seconds=MAX_SECONDS))
-            wall = time.perf_counter() - t0
-            return {"value": rep.value, "status": rep.status, "nodes": rep.nodes, "wall_s": wall}
+            rep, wall, reps = timed(lambda: solve(SearchBudget(max_seconds=MAX_SECONDS)))
+            return {"value": rep.value, "status": rep.status, "nodes": rep.nodes,
+                    "wall_s": wall, "reps": reps}
     for outside_name, op, summary, nodes in OUTSIDE:
         if outside_name == name:
-            t0 = time.perf_counter()
-            result = op()
-            wall = time.perf_counter() - t0
+            result, wall, reps = timed(op)
             return {"result": summary(result), "find_nodes": None if nodes is None else nodes(),
-                    "wall_s": wall}
+                    "wall_s": wall, "reps": reps}
     raise SystemExit(f"no row named {name!r}")
 
 
@@ -159,10 +189,12 @@ def run_row_in(src: Path, name: str) -> dict:
 
 
 def summarize(runs: list) -> dict:
-    """One row's record: the first run's findings, the median and each run's wall time."""
+    """One row's record: the first run's findings, the median and each run's
+    time per operation, and each run's repeats."""
     walls = [run["wall_s"] for run in runs]
-    row = {k: v for k, v in runs[0].items() if k != "wall_s"}
-    row.update(wall_s=statistics.median(walls), wall_s_runs=walls)
+    row = {k: v for k, v in runs[0].items() if k not in ("wall_s", "reps")}
+    row.update(wall_s=statistics.median(walls), wall_s_runs=walls,
+               reps_runs=[run["reps"] for run in runs])
     if "nodes" in row:
         row["nodes_runs"] = [run["nodes"] for run in runs]
     return row

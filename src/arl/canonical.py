@@ -192,19 +192,23 @@ def stabilizer_orbits(h: Hypergraph, order: tuple[int, ...]) -> tuple[frozenset[
     """Per p, the orbit of order[p] under the automorphisms of h fixing
     order[:p].  It lies in order[p]'s cell of the refinement with order[:p]
     individualized, and fills it if the cell is one twin class or the
-    automorphisms found so far do; else a _search from those cells finds all."""
+    automorphisms found so far do; else a _search from those cells finds all.
+    Individualizing a vertex of a twin cell leaves a stable partition, by the
+    argument _search gives for splitting one, so it is not refined."""
     cells = _refine(h, [list(range(h.n))])
     found, orbits = [], []  # the automorphisms met so far, the orbits
     for p, v in enumerate(order):
         i, cell = next((i, c) for i, c in enumerate(cells) if v in c)
         stab = [g for g in found if all(g[u] == u for u in order[:p])]
-        seen = set(cell) if len({h.twins[u] for u in cell}) == 1 else orbit([v], stab)
+        twin_cell = len({h.twins[u] for u in cell}) == 1
+        seen = set(cell) if twin_cell else orbit([v], stab)
         if len(seen) < len(cell):
             stab = _search(h, cells)[1]
             found, seen = found + stab, orbit([v], stab)
         orbits.append(frozenset(seen))
         if len(cell) > 1:
-            cells = _refine(h, cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:])
+            split = cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:]
+            cells = split if twin_cell else _refine(h, split)
     return tuple(orbits)
 
 

@@ -12,7 +12,8 @@ colors through a color_at callback keyed by an image edge's vertex mask
 (int, bit v per host vertex v), with None for an unusable edge.  It is the
 one injection search in the package: find runs it freely, over every
 placement of the pattern, and the exact solvers' table of copies (see
-search._copy_tables) is listed by it, one vertex of the host pinned.
+search._copy_tables) is listed by it, once per pattern on the pattern's own
+vertices, and relabeled from there onto every larger host.
 """
 
 from __future__ import annotations
@@ -257,21 +258,20 @@ class RainbowEmbedder:
             raise ValueError("find searches freely; anchor must be None")
         if len(self.order) > self.n:
             return None, 0
-        hit, nodes = self._embed(color_at, (1 << self.n) - 1, lambda *_: True, -1, max_nodes)
+        hit, nodes = self._embed(color_at, (1 << self.n) - 1, lambda *_: True, max_nodes)
         if hit is None:
             return None, nodes
         at = {v: bit.bit_length() - 1 for v, bit in zip(self.order, hit)}
         return Embedding(tuple(map(at.get, range(self.f.n)))), nodes
 
-    def _embed(self, color_at: Callable, host: int, leaf: Callable, pin: int,
-                max_nodes: Optional[int] = None) -> tuple[Optional[list[int]], int]:
+    def _embed(self, color_at: Callable, host: int, leaf: Callable,
+               max_nodes: Optional[int] = None) -> tuple[Optional[list[int]], int]:
         """Depth-first search over the rainbow embeddings least in their
-        cosets into the vertices of mask host, but with position pin on the
-        vertex above them, and position q's image above bits[low[q]].
-        leaf(bits, colors) gets each one's images as bits and its edge colors,
-        and stops the search by returning True.  Returns (the bits there or
-        None, nodes), a node being one image tried, and raises BudgetExhausted
-        past max_nodes nodes."""
+        cosets into the vertices of mask host, position q's image above
+        bits[low[q]].  leaf(bits, colors) gets each one's images as bits and
+        its edge colors, and stops the search by returning True.  Returns
+        (the bits there or None, nodes), a node being one image tried, and
+        raises BudgetExhausted past max_nodes nodes."""
         sched, low, k = self.schedule, self.low, len(self.order)
         bits, colors, nodes = [0] * (k + 1), set(), 0  # bits[-1]: no bound
 
@@ -286,7 +286,7 @@ class RainbowEmbedder:
                 for p in others:
                     rest |= bits[p]
                 rests.append(rest)
-            free = host + 1 if q == pin else host & ~used & -1 << bits[low[q]].bit_length()
+            free = host & ~used & -1 << bits[low[q]].bit_length()
             while free:
                 bit = free & -free
                 free ^= bit

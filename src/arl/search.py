@@ -22,11 +22,13 @@ first: exact_turan then tries None, "left out", so distinct edges get
 distinct colors and a rainbow copy is a copy; exact_anti_ramsey then tries
 range(top), the restricted growth strings.  A copy table lists every copy of
 a pattern in the host under its highest-ranked edge, and grows by one vertex
-per rung, so a solve lists each copy once.  A color on the newest edge is
-vetoed when a copy listed under that edge would be rainbow with it, so a
-feasible prefix is never re-tested against old edges.  A node is one value
-tried on one edge.  The loop keeps its place in per-edge arrays, not in
-recursion, so host size is not capped by the interpreter's recursion limit.
+per rung, so a solve lists each copy once: a search lists a pattern's copies
+on its own vertices, and relabeling them lists those on every larger vertex
+set.  A color on the newest edge is vetoed when a copy listed under that
+edge would be rainbow with it, so a feasible prefix is never re-tested
+against old edges.  A node is one value tried on one edge.  The loop keeps
+its place in per-edge arrays, not in recursion, so host size is not capped
+by the interpreter's recursion limit.
 Budgets cap nodes and wall time over the whole climb; a tripped budget
 yields an honest "budget_exhausted" report instead of an unproven value.
 """
@@ -35,7 +37,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .canonical import stabilizer_orbits
@@ -112,29 +116,39 @@ def _copy_tables(
     table[j] lists, for each copy of a member whose highest colex rank is j,
     the sorted ranks of its other edges.  Such a copy lies in K_{max(e_j)+1},
     so the table of K_k^r is that of K_{k-1}^r plus the copies through vertex
-    k - 1.  RainbowEmbedder lists them, one injection per copy, with the
-    ranks as colors and canonical's stabilizer_orbits as orbits, pinning
-    vertex k - 1 in turn to each position whose image no other must exceed,
-    one that no bound in em.low names, at about one step per copy.  Members
-    with more than n non-isolated vertices are skipped.
+    m = k - 1.  A member on v non-isolated vertices has none before its first
+    fit, m = v - 1, where every copy in K_v^r uses all of range(v).  There
+    RainbowEmbedder lists them, one injection per copy, with the ranks as
+    colors and canonical's stabilizer_orbits as orbits, and the member keeps
+    what this search appended to the rows as its base, each copy a top rank
+    and the sorted other ranks (the rows are shared, so not all they hold).
+    Past the first fit, a copy through m has exactly one vertex set S, and
+    max S = m, so S = C + (m,) for one (v-1)-subset C of range(m).  The
+    increasing map from range(v) onto S sends the base onto the copies on S,
+    each once, and keeps colex order: with R[i] the rank of the image of
+    edge i of K_v^r, a base copy's top edge goes to the image's top edge
+    R[top] and its other ranks to R at them, still sorted.  So each row holds
+    the copies a search would list, in another order, which no veto reads.
+    Members with more than n non-isolated vertices are skipped.
     If member a embeds in member b, b vetoes nothing a does not: a copy of b
     that vetoes a color at its top edge j holds an a-copy whose edges are
     present in distinct colors; its top edge is j, as a's veto would have
     refused the value on any earlier top edge, so a's veto fires at j too.
     Yields None and stops once the clock passes deadline (a time.monotonic()
-    value, read at every copy and after, not during, the symmetry setup).
+    value, read at every copy of a first fit, once per vertex set S past it,
+    and after, not during, the symmetry setup).
     """
+    r = family.r
     rank: dict[int, int] = {}  # vertex mask -> colex rank of each edge so far
+    binom = [[comb(x, t) for x in range(n)] for t in range(r + 1)]
 
     def leaf(bits: list[int], ranks: set) -> bool:
         ranks = sorted(ranks)
         table[ranks.pop()].append(tuple(ranks))
         return deadline is not None and time.monotonic() > deadline
 
-    members = []
-    for f in [f for f in family.members if len(f.non_isolated) <= n]:
-        em = RainbowEmbedder(n, f, stabilizer_orbits)
-        members.append((em, [q for q in range(len(em.order)) if q not in em.low]))
+    members = [(RainbowEmbedder(n, f, stabilizer_orbits), [])
+               for f in family.members if len(f.non_isolated) <= n]
     if deadline is not None and time.monotonic() > deadline:
         yield None
         return
@@ -142,15 +156,50 @@ def _copy_tables(
     yield table
     for m in range(n):
         top = 1 << m
-        for e in kn_edges(m, family.r - 1):  # the edges through m, in colex order
+        for e in kn_edges(m, r - 1):  # the edges through m, in colex order
             rank[vertex_mask(e) | top] = len(table)
             table.append([])
-        for em, highs in members:
-            for newest in highs if len(em.order) <= m + 1 else ():
-                if em._embed(rank.get, top - 1, leaf, newest)[0] is not None:
+        for em, base in members:
+            v = len(em.order)
+            if v == m + 1:  # the first fit
+                before = [len(row) for row in table]
+                if em._embed(rank.get, 2 * top - 1, leaf)[0] is not None:
                     yield None
                     return
+                if v < n:  # the base: what the search appended, a getter per copy
+                    base += [(j, _getter(others))
+                             for j, row in enumerate(table) for others in row[before[j]:]]
+            elif v <= m:
+                for rest in combinations(range(m), v - 1):
+                    R = _image_ranks((*rest, m), binom)
+                    for j, get in base:
+                        table[R[j]].append(get(R))
+                    if deadline is not None and time.monotonic() > deadline:
+                        yield None
+                        return
         yield table
+
+
+def _getter(others: Sequence[int]) -> Callable[[list[int]], tuple[int, ...]]:
+    """The entries of a list at the indices others, as a tuple (itemgetter
+    gives a bare entry for one index and takes no fewer)."""
+    if len(others) > 1:
+        return itemgetter(*others)
+    return lambda ranks: tuple(ranks[o] for o in others)
+
+
+def _image_ranks(S: Sequence[int], binom: list[list[int]]) -> list[int]:
+    """The colex ranks of the images of K_v^r's edges, in colex order, under
+    the increasing map from range(v) onto the sorted vertices S, where
+    binom[t][x] = C(x, t) for t <= r.  The t-subsets of range(v) come in colex
+    order grouped by their top vertex a ascending, each group the first
+    C(a, t-1) of the (t-1)-subsets, and an image's rank adds C(S[a], t) to
+    that of its (t-1)-subset below S[a]."""
+    ranks = list(S)  # C(s, 1) = s
+    for t in range(2, len(binom)):
+        row, cut = binom[t], binom[t - 1]
+        ranks = [y + row[s] for a, s in enumerate(S) for y in ranks[: cut[a]]]
+    return ranks
 
 
 def _vetoed(copies: list[tuple[int, ...]], val: list[Optional[int]], c: int) -> bool:

@@ -15,6 +15,7 @@ the free embedder the copy table's orbits, for differential tests.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from contextlib import contextmanager
 from math import comb
 from typing import Iterator, Optional, Sequence
@@ -39,6 +40,23 @@ def naive_embeddings(f: Hypergraph, h: Hypergraph) -> list[dict[int, int]]:
         ):
             out.append(phi)
     return out
+
+
+def naive_copy_rows(n: int, members: Sequence[Hypergraph]) -> list[Counter]:
+    """Per colex rank j of K_n^r, the multiset of the sorted other ranks of
+    each member's copies whose top rank is j: a copy is one image edge set
+    of the member's naive embeddings into K_n^r, once per member."""
+    r = members[0].r
+    host = make_hypergraph(n, r, kn_edges(n, r))
+    rows = [Counter() for _ in host.edges]
+    for f in members:
+        copies = {
+            tuple(sorted(colex_rank(sorted(phi[v] for v in e)) for e in f.edges))
+            for phi in naive_embeddings(f, host)
+        }
+        for *others, top in copies:
+            rows[top][tuple(others)] += 1
+    return rows
 
 
 def naive_has_copy(f: Hypergraph, h: Hypergraph) -> bool:

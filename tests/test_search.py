@@ -1,9 +1,10 @@
 import random
 import time
+from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arl.canonical import stabilizer_orbits
@@ -32,7 +33,7 @@ from arl.search import (
     exact_turan,
     verify_feasibility,
 )
-from helpers import brute_ar, brute_ex, copy_table, set_partitions
+from helpers import brute_ar, brute_ex, copy_table, naive_copy_rows, set_partitions
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -370,6 +371,48 @@ def test_copy_tables_read_the_clock_before_the_first_table():
     tables = _copy_tables(5, make_family([K3]), deadline=time.monotonic() - 1)
     assert next(tables) is None
     assert next(tables, "stopped") == "stopped"
+
+
+@st.composite
+def small_families(draw):
+    """A host size n <= 8 and one to three members of one uniformity r in
+    1..3, each on r..r+2 vertices with one to four edges, so members share
+    or differ in their number of non-isolated vertices, and one- and
+    two-edge members occur."""
+    r = draw(st.integers(1, 3), label="r")
+    members = []
+    for i in range(draw(st.integers(1, 3), label="members")):
+        pool = kn_edges(draw(st.integers(r, r + 2), label=f"vertices of {i}"), r)
+        edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=min(4, len(pool)),
+                              unique=True), label=f"edges of {i}")
+        members.append(make_hypergraph(max(map(max, edges)) + 1, r, edges))
+    return draw(st.integers(r, 8), label="n"), members
+
+
+PATH2 = make_hypergraph(3, 2, [(0, 1), (1, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_families())
+@example((8, [single_edge(2), PATH2]))
+@example((8, [PATH2, K3, make_hypergraph(4, 2, [(0, 1), (2, 3)])]))
+@example((8, [make_hypergraph(4, 3, [(0, 1, 2), (1, 2, 3)]), single_edge(3)]))
+def test_copy_table_rows_against_brute_listing(case):
+    # each member's copies are listed once on its own vertices and relabeled
+    # onto every larger vertex set, so every row holds the same copies, as a
+    # multiset, as a brute-force listing of all of them
+    n, members = case
+    table = copy_table(n, members)
+    assert [Counter(row) for row in table] == naive_copy_rows(n, members)
+
+
+def test_relabeling_reads_the_clock_per_vertex_set():
+    # C5 has 12 copies on its own five vertices and 1.7 million in K_30^2,
+    # listed by relabeling onto every vertex set; the clock is read at each
+    start = time.monotonic()
+    *_, last = _copy_tables(30, make_family([cycle_graph(5)]), deadline=start + 0.05)
+    assert last is None
+    assert time.monotonic() - start < 0.5
 
 
 @pytest.mark.parametrize("n, member", [(24, HK44), (35, HK55)], ids=["HK44", "HK55"])
