@@ -15,22 +15,29 @@ under a 1-node cap alone: rung 10 is the first one searched, so each run
 times the listing of its copy table (151,200 and 362,880 copies) and ends
 budget_exhausted after 2 nodes.
 It records per instance the value, status, solver nodes (summed over the
-rungs of the climb), the median wall time and the time of each run.  Seven
+rungs of the climb), the median wall time and the time of each run.  Eight
 rows outside the solver follow, also timed five times each: the splitting
 family of expansion(C6,3), the weak splitting family of expansion(K5,4),
-the minus family of expansion(K8,3), find_rainbow_copy of K5 in the
+the minus family of expansion(K8,3), canonical_key of expansion(K8,3) less
+one edge (its one minus-family member: 35 vertices and no twins, the
+dedupe cost of a class that needs a key), find_rainbow_copy of K5 in the
 lower-bound coloring on T(12,3) (the Turan graph's edges in distinct
 colors, every other pair in one more), has_copy of expansion(K5,3) in the
 empty 15-vertex 3-graph, and the copy tables of expansion(K3,3) on 12
 vertices and of C5 on 16 vertices, listed to exhaustion.  Each records its
 result and, for find_rainbow_copy and has_copy, the node count of
-RainbowEmbedder.find; a table row's result is its number of copies.  The
+RainbowEmbedder.find; a table row's result is its number of copies, and
+the canonical_key row's a digest of the key, keyed on a fresh copy of the
+graph each call, so no cached property carries over.  The
 two table rows time the listing past each pattern's first fit, which the
 solver rows barely reach; they call the private
 arl.search._copy_tables(n, family), whose signature older checkouts share.
 A run whose first pass takes under 50 ms repeats its operation in the same
 interpreter until the repeats take 50 ms, and records the time per
-operation of the repeats and their number as reps.  It also records
+operation of the repeats and their number as reps.  A run whose first pass
+takes 0.1 to 1 s runs its operation three times in all and records the
+least time, with reps 3: at that length one pass per fresh interpreter
+spreads by tens of percent with no change to the code.  It also records
 src_lines, the line count of the library's *.py files, so code size is
 tracked next to the timings.
 Run it as:
@@ -50,6 +57,7 @@ BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -60,6 +68,7 @@ import time
 from pathlib import Path
 
 import arl
+from arl.canonical import canonical_key
 from arl.coloring import RainbowEmbedder, find_rainbow_copy, make_coloring
 from arl.constructions import (
     complete_graph,
@@ -70,7 +79,14 @@ from arl.constructions import (
     splitting_family,
     turan_hypergraph,
 )
-from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph, vertex_mask
+from arl.hypergraph import (
+    Hypergraph,
+    has_copy,
+    kn_edges,
+    make_family,
+    make_hypergraph,
+    vertex_mask,
+)
 from arl.search import SearchBudget, _copy_tables, exact_anti_ramsey, exact_turan
 
 K3, K4, K5, C4 = complete_graph(3), complete_graph(4), complete_graph(5), cycle_graph(4)
@@ -102,6 +118,8 @@ LADDER = [
 REPEATS = 5
 MAX_SECONDS = 60.0
 SHORT_S = 0.05  # a run faster than this repeats its operation for this long
+MIN_OF_S = (0.1, 1.0)  # a run this long runs its operation MIN_OF times, least time kept
+MIN_OF = 3
 
 
 def lower_bound_coloring(n: int, ell: int, r: int):
@@ -123,7 +141,13 @@ def find_nodes(n, f, colors: dict) -> int:
     return RainbowEmbedder(n, f).find(colors.get)[1]
 
 
+def digest(key) -> str:
+    """A short fingerprint of a canonical key, equal exactly when the keys are."""
+    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+
 HK5, HK3, EMPTY15 = expansion(K5, 3), expansion(K3, 3), make_hypergraph(15, 3, [])
+HK8_MINUS = minus_family(expansion(complete_graph(8), 3)).members[0]
 K5_T = lower_bound_coloring(12, 3, 2)
 K5_T_COLORS = {vertex_mask(e): c for e, c in zip(kn_edges(12, 2), K5_T.colors)}
 # name, operation, result summary, node count of its find (or None)
@@ -134,6 +158,8 @@ OUTSIDE = [
      lambda: splitting_family(expansion(K5, 4), "weak"), len, None),
     ("minus_family(expansion(K8,3))",
      lambda: minus_family(expansion(complete_graph(8), 3)), len, None),
+    ("canonical_key(expansion(K8,3) - e)",
+     lambda: canonical_key(Hypergraph(HK8_MINUS.n, HK8_MINUS.r, HK8_MINUS.edges)), digest, None),
     ("find_rainbow_copy(K5, T(12,3) coloring)",
      lambda: find_rainbow_copy(K5_T, K5), lambda w: w is not None,
      lambda: find_nodes(12, K5, K5_T_COLORS)),
@@ -150,8 +176,9 @@ def src_lines(src: Path) -> int:
 
 
 def timed(op) -> tuple:
-    """op's result and its time per call: one call, or, when that takes
-    under SHORT_S, the mean of as many more as fill SHORT_S, and the count."""
+    """op's result, its time per call and the number of calls timed: one
+    call; when that takes under SHORT_S, the mean of as many more as fill
+    SHORT_S; when it takes a time within MIN_OF_S, the least of MIN_OF calls."""
     t0 = time.perf_counter()
     result = op()
     wall, reps = time.perf_counter() - t0, 1
@@ -161,6 +188,11 @@ def timed(op) -> tuple:
             op()
             reps += 1
         wall = (time.perf_counter() - t0) / reps
+    elif MIN_OF_S[0] <= wall <= MIN_OF_S[1]:
+        for reps in range(2, MIN_OF + 1):
+            t0 = time.perf_counter()
+            op()
+            wall = min(wall, time.perf_counter() - t0)
     return result, wall, reps
 
 

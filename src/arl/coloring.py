@@ -171,9 +171,9 @@ class RainbowEmbedder:
     The pattern's non-isolated vertices are embedded injectively; image edges
     must be colored with pairwise distinct colors.  color_at receives an image
     edge as its vertex mask (bit v set for each host vertex v, see
-    vertex_mask) and returns the edge's color, or None when the edge is
-    unusable.  Plain containment is the case where every present host edge
-    has its own color (see has_copy).  The plan is built here, so callers can
+    vertex_mask) and returns the edge's color, an int >= 0, or None when
+    the edge is unusable.  Plain containment is the case where every present
+    host edge has its own color (see has_copy).  The plan is built here, so callers can
     run find many times cheaply; the solvers' copy table is listed by the
     same search (see search._copy_tables).
 
@@ -268,17 +268,19 @@ class RainbowEmbedder:
                max_nodes: Optional[int] = None) -> tuple[Optional[list[int]], int]:
         """Depth-first search over the rainbow embeddings least in their
         cosets into the vertices of mask host, position q's image above
-        bits[low[q]].  leaf(bits, colors) gets each one's images as bits and
-        its edge colors, and stops the search by returning True.  Returns
+        bits[low[q]].  seen, the colors of the edges placed so far as one
+        int with bit c for color c, travels down the recursion.  leaf(bits,
+        seen) gets each one's images as bits and its edge colors as that
+        mask, and stops the search by returning True.  Returns
         (the bits there or None, nodes), a node being one image tried, and
         raises BudgetExhausted past max_nodes nodes."""
         sched, low, k = self.schedule, self.low, len(self.order)
-        bits, colors, nodes = [0] * (k + 1), set(), 0  # bits[-1]: no bound
+        bits, nodes = [0] * (k + 1), 0  # bits[-1]: no bound
 
-        def dfs(q: int, used: int) -> bool:
+        def dfs(q: int, used: int, seen: int) -> bool:
             nonlocal nodes
             if q == k:
-                return leaf(bits, colors)
+                return leaf(bits, seen)
             # masks of the placed vertices of the edges q completes
             rests = []
             for others in sched[q]:
@@ -293,21 +295,19 @@ class RainbowEmbedder:
                 nodes += 1
                 if max_nodes is not None and nodes > max_nodes:
                     raise BudgetExhausted(nodes)
-                added: list[int] = []
+                s = seen
                 for rest in rests:
                     c = color_at(rest | bit)
-                    if c is None or c in colors or c in added:
+                    if c is None or s >> c & 1:
                         break
-                    added.append(c)
+                    s |= 1 << c
                 else:
                     bits[q] = bit
-                    colors.update(added)
-                    if dfs(q + 1, used | bit):
+                    if dfs(q + 1, used | bit, s):
                         return True
-                    colors.difference_update(added)
             return False
 
-        return (bits if dfs(0, 0) else None), nodes
+        return (bits if dfs(0, 0, 0) else None), nodes
 
 
 def find_rainbow_copy(

@@ -24,6 +24,9 @@ from .canonical import distinct_classes, orbit_representatives
 from .hypergraph import (
     Family,
     Hypergraph,
+    _extends_independent,
+    check_mode,
+    colex_key,
     is_independent,
     make_hypergraph,
     remove_vertices,
@@ -102,14 +105,25 @@ def split_vertex(f: Hypergraph, u: int) -> Hypergraph:
     """
     if u < 0 or u >= f.n:
         raise ValueError(f"vertex {u} out of range")
-    new_id = [v if v < u else v - 1 for v in range(f.n)]
-    through = [e for e in f.edges if u in e]
-    base = [tuple(new_id[v] for v in e) for e in f.edges if u not in e]
-    nxt = f.n - 1
-    for e in through:
-        base.append(tuple(new_id[v] for v in e if v != u) + (nxt,))
+    n, edges = _split(f.n, f.edges, u)
+    return make_hypergraph(n, f.r, edges)
+
+
+def _split(
+    n: int, edges: Sequence[tuple[int, ...]], u: int
+) -> tuple[int, list[tuple[int, ...]]]:
+    """split_vertex on plain edges: given the sorted edge tuples of a graph
+    on range(n), in any order, the vertex count and edges of the split of
+    u, the list in no set order.  The edges through u take their fresh
+    vertices in colex order, as split_vertex does; labels above u shift
+    down one and the fresh ones are the highest, so every edge stays
+    sorted."""
+    out = [tuple(v - (v > u) for v in e) for e in edges if u not in e]
+    nxt = n - 1
+    for e in sorted((e for e in edges if u in e), key=colex_key):
+        out.append(tuple(v - (v > u) for v in e if v != u) + (nxt,))
         nxt += 1
-    return make_hypergraph(nxt, f.r, base)
+    return nxt, out
 
 
 def split_set(f: Hypergraph, vertices: Iterable[int], mode: str = "weak") -> Hypergraph:
@@ -119,15 +133,17 @@ def split_set(f: Hypergraph, vertices: Iterable[int], mode: str = "weak") -> Hyp
     Fresh vertices introduced by earlier splits are never split again, and
     the outcome does not depend on the processing order up to isomorphism;
     internally the vertices are processed in descending label order, which
-    keeps the labels of the not-yet-split ones stable.
+    keeps the labels of the not-yet-split ones stable.  The splits run on
+    plain edges, each as split_vertex would, and one Hypergraph is built at
+    the end.
     """
     vs = sorted(set(vertices), reverse=True)
     if not is_independent(f, vs, mode):
         raise ValueError(f"{sorted(vs)} is not {mode}ly independent")
-    g = f
+    n, edges = f.n, f.edges
     for u in vs:
-        g = split_vertex(g, u)
-    return g
+        n, edges = _split(n, edges, u)
+    return make_hypergraph(n, f.r, edges)
 
 
 def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
@@ -151,9 +167,10 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     set with core C holds no degree-1 vertex above max(C), as dropping it
     gives a proper prefix; below max(C), a degree-1 vertex v that keeps
     C, the vertices chosen so far and v independent makes the set smaller
-    at v's position, so the greedy pass in increasing order builds it.  The
-    cores are then ordered by these sets, so the padding vertices of an
-    expansion never multiply the work.
+    at v's position, so the greedy pass in increasing order builds it.  Both
+    passes add one vertex at a time to an independent set, so each tests
+    the vertex on its own edges alone.  The cores are then ordered by these
+    sets, so the padding vertices of an expansion never multiply the work.
 
     The cores then pass through orbit_representatives, which drops a core in
     the orbit of an earlier kept one under automorphisms of f.  An
@@ -166,20 +183,30 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     still runs, as different orbits can give isomorphic splits, and the
     members are those the unreduced dedupe would keep, in the same order.
     """
+    check_mode(mode)
     hubs = [v for v in range(f.n) if f.degrees[v] != 1]
     found: list[tuple[int, ...]] = []
+    in_set = [False] * f.n  # the vertices of the set being extended
 
     def extend(core: tuple[int, ...], start: int) -> None:
         found.append(core)
         for i in range(start, len(hubs)):
-            if is_independent(f, core + (hubs[i],), mode):
-                extend(core + (hubs[i],), i + 1)
+            v = hubs[i]
+            if _extends_independent(f, in_set, v, mode):
+                in_set[v] = True
+                extend(core + (v,), i + 1)
+                in_set[v] = False
 
     def first_set(core: tuple[int, ...]) -> tuple[int, ...]:
         s = list(core)
+        for v in s:
+            in_set[v] = True
         for v in range(core[-1] if core else 0):
-            if f.degrees[v] == 1 and is_independent(f, s + [v], mode):
+            if f.degrees[v] == 1 and _extends_independent(f, in_set, v, mode):
                 s.append(v)
+                in_set[v] = True
+        for v in s:
+            in_set[v] = False
         return tuple(sorted(s))
 
     extend((), 0)

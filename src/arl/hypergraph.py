@@ -216,11 +216,28 @@ def is_independent(h: Hypergraph, vertices: Iterable[int], mode: str = "weak") -
     s = set(vertices)
     if any(v < 0 or v >= h.n for v in s):
         raise ValueError("vertex out of range")
+    check_mode(mode)
     if mode == "weak":
         return not any(s.issuperset(e) for e in h.edges)
-    if mode == "strong":
-        return not any(len(s.intersection(e)) >= 2 for e in h.edges)
-    raise ValueError(f"unknown independence mode {mode!r}")
+    return not any(len(s.intersection(e)) >= 2 for e in h.edges)
+
+
+def check_mode(mode: str) -> None:
+    """Reject an independence mode other than weak and strong."""
+    if mode not in ("weak", "strong"):
+        raise ValueError(f"unknown independence mode {mode!r}")
+
+
+def _extends_independent(
+    h: Hypergraph, in_set: Sequence[bool], v: int, mode: str
+) -> bool:
+    """Whether adding v, not in it, to an independent set of the given mode
+    (in_set[u] marks its vertices) keeps it independent.  Only the edges
+    through v can break it: weak, when v fills one; strong, when one already
+    meets the set, as it then meets the set and v in two vertices."""
+    if mode == "weak":
+        return not any(all(in_set[u] or u == v for u in e) for e in h.incident[v])
+    return not any(any(in_set[u] for u in e) for e in h.incident[v])
 
 
 def independent_sets(h: Hypergraph, mode: str = "weak") -> list[tuple[int, ...]]:
@@ -230,24 +247,15 @@ def independent_sets(h: Hypergraph, mode: str = "weak") -> list[tuple[int, ...]]
     over vertices in increasing order enumerates each set exactly once.
     Output order is lexicographic.
     """
-    if mode not in ("weak", "strong"):
-        raise ValueError(f"unknown independence mode {mode!r}")
+    check_mode(mode)
     out: list[tuple[int, ...]] = []
     current: list[int] = []
     in_set = [False] * h.n
 
-    def extend_ok(v: int) -> bool:
-        if mode == "weak":
-            # only edges through v can become fully covered
-            return not any(
-                all(in_set[u] or u == v for u in e) for e in h.incident[v]
-            )
-        return not any(any(in_set[u] for u in e) for e in h.incident[v])
-
     def rec(start: int) -> None:
         out.append(tuple(current))
         for v in range(start, h.n):
-            if extend_ok(v):
+            if _extends_independent(h, in_set, v, mode):
                 current.append(v)
                 in_set[v] = True
                 rec(v + 1)

@@ -142,9 +142,15 @@ def _copy_tables(
     rank: dict[int, int] = {}  # vertex mask -> colex rank of each edge so far
     binom = [[comb(x, t) for x in range(n)] for t in range(r + 1)]
 
-    def leaf(bits: list[int], ranks: set) -> bool:
-        ranks = sorted(ranks)
-        table[ranks.pop()].append(tuple(ranks))
+    def leaf(bits: list[int], seen: int) -> bool:
+        top = seen.bit_length() - 1  # the ranks are the bits of seen
+        seen ^= 1 << top
+        others = []
+        while seen:
+            low = seen & -seen
+            others.append(low.bit_length() - 1)
+            seen ^= low
+        table[top].append(tuple(others))
         return deadline is not None and time.monotonic() > deadline
 
     members = [(RainbowEmbedder(n, f, stabilizer_orbits), [])

@@ -6,7 +6,10 @@ suite trusts these on tiny instances and measures the real implementations
 against them.  copy_table is the one exception: it runs the solver's own
 table builder, for tests that drive _branch_and_bound directly, and
 expansion_automorphisms builds its group from the base graph's brute-force
-one, as permuting an expansion's vertices takes too long.  twins_off,
+one, as permuting an expansion's vertices takes too long.  naive_refine is
+the canonical search's refinement with every cell signed in every round,
+with refine_naive to switch it in, and naive_canonical_edges the canonical
+form from every leaf of the search tree.  twins_off,
 orbits_off and invariant_off switch the twin rules, the families' orbit rule
 and distinct_classes' invariant buckets off, and stabilizer_orbits_on gives
 the free embedder the copy table's orbits, for differential tests.
@@ -25,7 +28,7 @@ import pytest
 from arl import canonical
 from arl.coloring import Coloring, RainbowEmbedder, make_coloring
 from arl.constructions import expansion
-from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_family, make_hypergraph
+from arl.hypergraph import Hypergraph, colex_rank, kn_edges, make_family, make_hypergraph, relabel
 from arl.search import _copy_tables
 
 
@@ -189,6 +192,64 @@ def brute_stabilizer_orbits(
         out.append(frozenset(g[v] for g in group))
         group = {g for g in group if g[v] == v}
     return tuple(out)
+
+
+def naive_refine(h: Hypergraph, cells: list[list[int]]) -> list[list[int]]:
+    """The stable refinement of cells, every cell signed in every round: a
+    round splits each cell by its vertices' sorted tuples of the sorted cell
+    indices of each incident edge's other endpoints, groups in tuple order,
+    until a round splits nothing."""
+    while True:
+        idx = [0] * h.n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                idx[v] = i
+        new_cells: list[list[int]] = []
+        for cell in cells:
+            groups: dict[tuple, list[int]] = {}
+            for v in cell:
+                sig = sorted(tuple(sorted(idx[u] for u in e if u != v)) for e in h.incident[v])
+                groups.setdefault(tuple(sig), []).append(v)
+            new_cells += [sorted(groups[key]) for key in sorted(groups)]
+        if len(new_cells) == len(cells):
+            return new_cells
+        cells = new_cells
+
+
+def naive_canonical_edges(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The edges of h's canonical form by the whole search tree: from the
+    naive refinement of one cell, individualize each vertex of the first
+    cell of two or more in turn and refine, down to the partitions into
+    singletons; each labels cell i's vertex i, and the form is the labeling
+    whose sorted colex ranks are least."""
+    best = None
+
+    def rec(cells: list[list[int]]) -> None:
+        nonlocal best
+        i = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if i is None:
+            lab = [0] * h.n
+            for j, (v,) in enumerate(cells):
+                lab[v] = j
+            g = relabel(h, lab)
+            if best is None or [colex_rank(e) for e in g.edges] < [colex_rank(e) for e in best]:
+                best = g.edges
+            return
+        for v in cells[i]:
+            rest = [u for u in cells[i] if u != v]
+            rec(naive_refine(h, cells[:i] + [[v], rest] + cells[i + 1:]))
+
+    rec(naive_refine(h, [list(range(h.n))]))
+    return best if best is not None else ()
+
+
+@contextmanager
+def refine_naive() -> Iterator[None]:
+    """Switch the canonical search's refinement to naive_refine: inside, it
+    signs every cell in every round, whatever vertices it is told moved."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canonical, "_refine", lambda h, cells, moved=None: naive_refine(h, cells))
+        yield
 
 
 @contextmanager

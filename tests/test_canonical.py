@@ -4,7 +4,7 @@ from contextlib import nullcontext
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arl import canonical
@@ -38,7 +38,10 @@ from helpers import (
     copy_table,
     expansion_automorphisms,
     invariant_off,
+    naive_canonical_edges,
+    naive_refine,
     orbits_off,
+    refine_naive,
     twins_off,
 )
 
@@ -107,6 +110,14 @@ class TestDistinctClasses:
         assert distinct_classes(iter(graphs)) == (graphs[0],)
 
 
+@st.composite
+def small_hypergraphs(draw, max_n):
+    """A random r-graph, r = 1..3, on r to max_n vertices."""
+    r = draw(st.integers(1, 3))
+    n = draw(st.integers(r, max_n))
+    return make_hypergraph(n, r, draw(st.lists(st.sampled_from(kn_edges(n, r)), unique=True)))
+
+
 class TestInvariance:
     def test_random_relabelings(self):
         rng = random.Random(7)
@@ -142,6 +153,23 @@ class TestInvariance:
         mask %= 1 << comb(5, 2)
         h = make_hypergraph(5, 2, [e for i, e in enumerate(pool) if mask >> i & 1])
         assert canonical_key(h) == canonical_key(relabel(h, tuple(perm)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_form_is_the_least_leaf(self, data):
+        # the least certificate over every leaf of the unpruned search tree
+        h = data.draw(small_hypergraphs(6))
+        assert canonical_form(h).edges == naive_canonical_edges(h)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_form_is_the_least_leaf_of_a_regular_graph(self, n):
+        # refinement cannot split C3 + C4, so leaves individualizing a
+        # triangle vertex first and those a square vertex first give
+        # different graphs, and only the certificate's order picks between
+        c3_c4 = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]
+        for perm in itertools.islice(itertools.permutations(range(n)), 0, 5040, 997):
+            h = relabel(make_hypergraph(n, 2, c3_c4), perm)
+            assert canonical_form(h).edges == naive_canonical_edges(h)
 
     def test_multipartite_worst_case(self):
         h = turan_hypergraph(16, 4, 2)
@@ -372,6 +400,53 @@ def count_searches(monkeypatch, build):
 
 
 ORBIT_BASES = [(name, r) for r in (3, 4) for name in sorted(TWIN_BASES)]
+
+
+@st.composite
+def individualized(draw):
+    """A random r-graph, r = 1..3, on at most 9 vertices, a stable partition
+    of it with up to three vertices individualized, and that partition with
+    one more vertex v, from a cell of two or more, taken out: (h, split, v)."""
+    h = draw(small_hypergraphs(9))
+    cells = naive_refine(h, [list(range(h.n))])
+    while True:
+        i = draw(st.sampled_from(range(len(cells))))
+        cell = cells[i]
+        if len(cell) == 1 or not draw(st.integers(0, 3)):
+            break
+        v = draw(st.sampled_from(cell))
+        cells = naive_refine(h, cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:])
+    assume(len(cell) > 1)
+    v = draw(st.sampled_from(cell))
+    return h, cells[:i] + [[v], [u for u in cell if u != v]] + cells[i + 1:], v
+
+
+class TestRefineRule:
+    # _refine signs, after a vertex is individualized, only the cells a split
+    # can reach; the partition it returns, and so every search, must be the
+    # one that signing every cell in every round gives
+
+    @settings(max_examples=300, deadline=None)
+    @given(individualized())
+    def test_against_every_cell_signed(self, drawn):
+        h, split, v = drawn
+        assert canonical._refine(h, split, [v]) == naive_refine(h, split)
+
+    @settings(max_examples=150, deadline=None)
+    @given(twinned_hypergraphs())
+    def test_searches_match_every_cell_signed(self, drawn):
+        h, order = drawn
+        got = (canonical._search(h), stabilizer_orbits(h, tuple(order)))
+        with refine_naive():
+            assert (canonical._search(h), stabilizer_orbits(h, tuple(order))) == got
+
+    @pytest.mark.parametrize("name, r", ORBIT_BASES)
+    def test_expansions_match_every_cell_signed(self, name, r):
+        h = expansion(TWIN_BASES[name], r)
+        order = tuple(random.Random(name).sample(range(h.n), h.n))
+        got = (canonical._search(h), stabilizer_orbits(h, order))
+        with refine_naive():
+            assert (canonical._search(h), stabilizer_orbits(h, order)) == got
 
 
 class TestStabilizerOrbits:

@@ -45,6 +45,7 @@ from helpers import (
     brute_automorphisms,
     copy_table,
     naive_has_anchored_rainbow,
+    naive_has_copy,
     naive_has_rainbow,
     naive_placement_order,
     stabilizer_orbits_on,
@@ -241,6 +242,56 @@ def assert_witness(chi, f, w):
         assert img == tuple(sorted(images[v] for v in e))
         assert c == chi.colors[pool.index(img)]
     assert len({c for _, c in w.edge_colors}) == f.num_edges
+
+
+class TestManyColors:
+    # the free search keeps its seen colors as the bits of one int; these
+    # colorings and hosts give it more colors than a machine word has bits
+
+    @staticmethod
+    def lower_bound(fresh):
+        """T(13,3,3)'s 80 triples in distinct colors, every other triple in
+        one more, and the triple fresh, if given, in a color of its own."""
+        host = turan_hypergraph(13, 3, 3).edge_set
+        ids: dict = {}
+        return make_coloring(13, 3, [ids.setdefault(e if e in host or e == fresh else "rest", len(ids))
+                                     for e in kn_edges(13, 3)])
+
+    @pytest.mark.parametrize("fresh", [None, (0, 1, 5), (5, 6, 9), (9, 10, 11)])
+    def test_lower_bound_colorings(self, fresh):
+        # a K4^3 on T(13,3,3)'s vertices has two triples off the host; a
+        # rainbow copy needs one of them fresh, which (9,10,11) is not, as
+        # its three vertices lie in one part
+        chi = self.lower_bound(fresh)
+        assert chi.num_colors == 81 + (fresh is not None)
+        for f in (complete_hypergraph(4, 3), TWIN_PATTERNS["book3"]):
+            w = find_rainbow_copy(chi, f)
+            assert (w is not None) == naive_has_rainbow(chi, f)
+            if w is not None:
+                assert_witness(chi, f, w)
+        assert (find_rainbow_copy(chi, complete_hypergraph(4, 3)) is None) == (
+            fresh in (None, (9, 10, 11)))
+
+    def test_random_near_rainbow_colorings(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            m = rng.randint(65, 78)
+            colors = list(range(m)) + [rng.randrange(m) for _ in range(78 - m)]
+            rng.shuffle(colors)
+            chi = make_coloring(13, 2, colors)
+            f = TWIN_PATTERNS[rng.choice(["K3", "K4", "C4", "K1,3"])]
+            w = find_rainbow_copy(chi, f)
+            assert (w is not None) == naive_has_rainbow(chi, f)
+            if w is not None:
+                assert_witness(chi, f, w)
+
+    def test_has_copy_in_a_host_of_80_edges(self):
+        # has_copy colors each host edge by its index, up to 79 here
+        host = turan_hypergraph(13, 3, 3)
+        k4_minus = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
+        for f in (single_edge(3), TWIN_PATTERNS["book3"], k4_minus, complete_hypergraph(4, 3)):
+            assert has_copy(f, host) == naive_has_copy(f, host)
+        assert has_copy(TWIN_PATTERNS["book3"], host) and not has_copy(k4_minus, host)
 
 
 class TestTwinSortedFind:

@@ -175,6 +175,27 @@ class TestSplitting:
         for f in corpus:
             assert splitting_family(f, mode).members == self._unreduced(f, mode), f
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_set_is_the_split_vertex_chain(self, data):
+        # split_set splits on plain edges, once, as the chain of split_vertex
+        # calls from the highest vertex down does, edge for edge
+        r = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(r, 8))
+        f = make_hypergraph(n, r, data.draw(st.lists(st.sampled_from(kn_edges(n, r)), unique=True)))
+        mode = data.draw(st.sampled_from(["weak", "strong"]))
+        vs = data.draw(st.sampled_from(independent_sets(f, mode)))
+        g = f
+        for u in sorted(vs, reverse=True):
+            g = split_vertex(g, u)
+        got = split_set(f, data.draw(st.permutations(vs)), mode)
+        assert (got.n, got.edges) == (g.n, g.edges)
+
+    def test_splitting_family_names_an_unknown_mode(self):
+        for f in (K3, single_edge(2), make_hypergraph(2, 2, [])):
+            with pytest.raises(ValueError, match="unknown independence mode 'medium'"):
+                splitting_family(f, "medium")
+
     def test_k5_expansion_classes(self):
         assert len(splitting_family(expansion(complete_graph(5), 3))) == 6
 

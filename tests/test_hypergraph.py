@@ -117,6 +117,15 @@ class TestIndependentSets:
         assert is_independent(P3, (0, 2))
         assert not is_independent(P3, (0, 1))
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_hypergraphs(max_n=7, rs=(1, 2, 3)), st.sampled_from(["weak", "strong"]))
+    def test_every_subset_tested_whole(self, h, mode):
+        # the extension test reads only the new vertex's edges; is_independent
+        # reads every edge, and an r = 1 edge makes its vertex weakly dependent
+        subsets = [s for k in range(h.n + 1) for s in itertools.combinations(range(h.n), k)]
+        want = sorted(s for s in subsets if is_independent(h, s, mode))
+        assert independent_sets(h, mode) == want
+
 
 class TestEnumerate:
     """Copy search: has_copy, one free embedding search per call."""
