@@ -32,142 +32,155 @@ graph each call, so no cached property carries over.  The
 two table rows time the listing past each pattern's first fit, which the
 solver rows barely reach; they call the private
 arl.search._copy_tables(n, family), whose signature older checkouts share.
-A run whose first pass takes under 50 ms repeats its operation in the same
-interpreter until the repeats take 50 ms, and records the time per
-operation of the repeats and their number as reps.  A run whose first pass
-takes 0.1 to 1 s runs its operation three times in all and records the
-least time, with reps 3: at that length one pass per fresh interpreter
-spreads by tens of percent with no change to the code.  It also records
-src_lines, the line count of the library's *.py files, so code size is
-tracked next to the timings.
+One timing rule holds for every row: a run times one call of its
+operation, and a run whose call takes under 50 ms repeats the operation
+until the repeats take 50 ms and records the time per operation of the
+repeats and their number as reps.  It also records src_lines, the line
+count of the library's *.py files, so code size is tracked next to the
+timings.
 Run it as:
 
-    PYTHONPATH=src python3 scripts/bench_ladder.py <label>
+    python3 scripts/bench_ladder.py <label>
 
-The file is written to the current directory.  Every run is timed in a
-fresh interpreter (the script itself, with --row).  It uses the public
-solver API and _copy_tables alone, so the same script can time an older
-checkout.  To compare one, pass its src:
+It imports the library from this checkout's src, so no PYTHONPATH is
+needed, and writes the file to the current directory.  It uses the public
+solver API and _copy_tables alone, so it can time an older checkout too:
 
-    PYTHONPATH=src python3 scripts/bench_ladder.py <label> --parent OLD/src
+    python3 scripts/bench_ladder.py <label> --parent OLD/src
 
-Each row's repeats then alternate between OLD/src and this src, so drift of
-the machine lands on both sides of the pair alike; the one run writes
-BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src.
+Both srcs are then imported into this one interpreter as two module trees,
+each row's inputs are built from the tree it runs on, and a row's runs
+alternate between the trees, the first tree alternating too, so drift of
+the machine lands on both sides of the pair alike.  The run writes
+BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src, and
+prints MISMATCH <row> for each row whose findings (value, status, nodes,
+result, find_nodes) differ between the trees or between runs of one tree.
 """
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-import arl
-from arl.canonical import canonical_key
-from arl.coloring import RainbowEmbedder, find_rainbow_copy, make_coloring
-from arl.constructions import (
-    complete_graph,
-    complete_hypergraph,
-    cycle_graph,
-    expansion,
-    minus_family,
-    splitting_family,
-    turan_hypergraph,
-)
-from arl.hypergraph import (
-    Hypergraph,
-    has_copy,
-    kn_edges,
-    make_family,
-    make_hypergraph,
-    vertex_mask,
-)
-from arl.search import SearchBudget, _copy_tables, exact_anti_ramsey, exact_turan
-
-K3, K4, K5, C4 = complete_graph(3), complete_graph(4), complete_graph(5), cycle_graph(4)
-K4_3 = complete_hypergraph(4, 3)
-HK44 = expansion(make_hypergraph(8, 2, [(i, j) for i in range(4) for j in range(4, 8)]), 3)
-LADDER = [
-    ("ex(8,K3)", lambda b: exact_turan(8, [K3], budget=b)),
-    ("ex(8,K4)", lambda b: exact_turan(8, [K4], budget=b)),
-    ("ex(8,C4)", lambda b: exact_turan(8, [C4], budget=b)),
-    ("ex(7,K4^3)", lambda b: exact_turan(7, [K4_3], budget=b)),
-    ("ar(5,K4)", lambda b: exact_anti_ramsey(5, K4, budget=b)),
-    ("ar(6,K3)", lambda b: exact_anti_ramsey(6, K3, budget=b)),
-    ("ar(6,K4)", lambda b: exact_anti_ramsey(6, K4, budget=b)),
-    ("ar(7,K3)", lambda b: exact_anti_ramsey(7, K3, budget=b)),
-    ("ar(7,C4)", lambda b: exact_anti_ramsey(7, C4, budget=b)),
-    ("ar(7,K4)", lambda b: exact_anti_ramsey(7, K4, budget=b)),
-    ("ar(8,K3)", lambda b: exact_anti_ramsey(8, K3, budget=b)),
-    ("ar(6,K4^3)", lambda b: exact_anti_ramsey(6, K4_3, budget=b)),
-    ("ar(6,C5)", lambda b: exact_anti_ramsey(6, cycle_graph(5), budget=b)),
-    ("ar(6,HK3^3) at 300,000 nodes",
-     lambda b: exact_anti_ramsey(6, expansion(K3, 3), budget=SearchBudget(max_nodes=300_000))),
-    ("ex(24,{K4^3,HK44}) at 10 nodes",
-     lambda b: exact_turan(24, [K4_3, HK44], budget=SearchBudget(max_nodes=10))),
-    ("ex(10,{expansion(K4,3)}) at 1 node",
-     lambda b: exact_turan(10, [expansion(K4, 3)], budget=SearchBudget(max_nodes=1))),
-    ("ex(10,{expansion(C5,3)}) at 1 node",
-     lambda b: exact_turan(10, [expansion(cycle_graph(5), 3)], budget=SearchBudget(max_nodes=1))),
-]
 REPEATS = 5
 MAX_SECONDS = 60.0
 SHORT_S = 0.05  # a run faster than this repeats its operation for this long
-MIN_OF_S = (0.1, 1.0)  # a run this long runs its operation MIN_OF times, least time kept
-MIN_OF = 3
 
 
-def lower_bound_coloring(n: int, ell: int, r: int):
-    """T_r(n, ell)'s edges in distinct colors, every other edge in one more."""
-    host = turan_hypergraph(n, ell, r).edge_set
-    ids: dict = {}
-    return make_coloring(n, r, [ids.setdefault(e if e in host else "rest", len(ids))
-                                for e in kn_edges(n, r)])
+def arl_names() -> list:
+    return [name for name in sys.modules if name == "arl" or name.startswith("arl.")]
 
 
-def copies(n: int, f) -> int:
-    """The number of copies of f in the copy table of K_n^r, listed in full."""
-    *_, table = _copy_tables(n, make_family([f]))
-    return sum(map(len, table))
+def bind(tree: dict) -> None:
+    """Put exactly tree's modules in sys.modules as arl, so an import made at
+    call time (has_copy imports RainbowEmbedder) finds the running tree."""
+    for name in arl_names():
+        del sys.modules[name]
+    sys.modules.update(tree)
 
 
-def find_nodes(n, f, colors: dict) -> int:
-    """Nodes of the free search for f in K_n^r, colors keyed by vertex mask."""
-    return RainbowEmbedder(n, f).find(colors.get)[1]
+def load(src: Path) -> dict:
+    """Import arl.search from src as a module tree of its own, left bound,
+    and return its arl modules by name."""
+    bind({})
+    sys.path.insert(0, str(src))
+    try:
+        importlib.import_module("arl.search")
+    finally:
+        sys.path.remove(str(src))
+    if not Path(sys.modules["arl"].__file__).resolve().is_relative_to(src.resolve()):
+        # src has no arl, and the one imported came from further down sys.path
+        raise SystemExit(f"no arl package in {src}")
+    return {name: sys.modules[name] for name in arl_names()}
 
 
-def digest(key) -> str:
-    """A short fingerprint of a canonical key, equal exactly when the keys are."""
-    return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+def rows(tree: dict) -> list:
+    """Every row as (name, op, findings), its inputs built from the bound
+    module tree: op() is the timed operation and findings(result) what it
+    found."""
+    cons, hg, search = tree["arl.constructions"], tree["arl.hypergraph"], tree["arl.search"]
+    col = tree["arl.coloring"]
+    ex, ar, Budget = search.exact_turan, search.exact_anti_ramsey, search.SearchBudget
+    K3, K4, K5 = cons.complete_graph(3), cons.complete_graph(4), cons.complete_graph(5)
+    C4, K4_3 = cons.cycle_graph(4), cons.complete_hypergraph(4, 3)
+    HK44 = cons.expansion(hg.make_hypergraph(8, 2, [(i, j) for i in range(4) for j in range(4, 8)]), 3)
+    b = Budget(max_seconds=MAX_SECONDS)
+    ladder = [
+        ("ex(8,K3)", lambda: ex(8, [K3], budget=b)),
+        ("ex(8,K4)", lambda: ex(8, [K4], budget=b)),
+        ("ex(8,C4)", lambda: ex(8, [C4], budget=b)),
+        ("ex(7,K4^3)", lambda: ex(7, [K4_3], budget=b)),
+        ("ar(5,K4)", lambda: ar(5, K4, budget=b)),
+        ("ar(6,K3)", lambda: ar(6, K3, budget=b)),
+        ("ar(6,K4)", lambda: ar(6, K4, budget=b)),
+        ("ar(7,K3)", lambda: ar(7, K3, budget=b)),
+        ("ar(7,C4)", lambda: ar(7, C4, budget=b)),
+        ("ar(7,K4)", lambda: ar(7, K4, budget=b)),
+        ("ar(8,K3)", lambda: ar(8, K3, budget=b)),
+        ("ar(6,K4^3)", lambda: ar(6, K4_3, budget=b)),
+        ("ar(6,C5)", lambda: ar(6, cons.cycle_graph(5), budget=b)),
+        ("ar(6,HK3^3) at 300,000 nodes",
+         lambda: ar(6, cons.expansion(K3, 3), budget=Budget(max_nodes=300_000))),
+        ("ex(24,{K4^3,HK44}) at 10 nodes",
+         lambda: ex(24, [K4_3, HK44], budget=Budget(max_nodes=10))),
+        ("ex(10,{expansion(K4,3)}) at 1 node",
+         lambda: ex(10, [cons.expansion(K4, 3)], budget=Budget(max_nodes=1))),
+        ("ex(10,{expansion(C5,3)}) at 1 node",
+         lambda: ex(10, [cons.expansion(cons.cycle_graph(5), 3)], budget=Budget(max_nodes=1))),
+    ]
 
+    def report(rep) -> dict:
+        return {"value": rep.value, "status": rep.status, "nodes": rep.nodes}
 
-HK5, HK3, EMPTY15 = expansion(K5, 3), expansion(K3, 3), make_hypergraph(15, 3, [])
-HK8_MINUS = minus_family(expansion(complete_graph(8), 3)).members[0]
-K5_T = lower_bound_coloring(12, 3, 2)
-K5_T_COLORS = {vertex_mask(e): c for e, c in zip(kn_edges(12, 2), K5_T.colors)}
-# name, operation, result summary, node count of its find (or None)
-OUTSIDE = [
-    ("splitting_family(expansion(C6,3))",
-     lambda: splitting_family(expansion(cycle_graph(6), 3)), len, None),
-    ("splitting_family(expansion(K5,4), weak)",
-     lambda: splitting_family(expansion(K5, 4), "weak"), len, None),
-    ("minus_family(expansion(K8,3))",
-     lambda: minus_family(expansion(complete_graph(8), 3)), len, None),
-    ("canonical_key(expansion(K8,3) - e)",
-     lambda: canonical_key(Hypergraph(HK8_MINUS.n, HK8_MINUS.r, HK8_MINUS.edges)), digest, None),
-    ("find_rainbow_copy(K5, T(12,3) coloring)",
-     lambda: find_rainbow_copy(K5_T, K5), lambda w: w is not None,
-     lambda: find_nodes(12, K5, K5_T_COLORS)),
-    ("has_copy(expansion(K5,3), empty K_15^3)",
-     lambda: has_copy(HK5, EMPTY15), bool, lambda: find_nodes(15, HK5, {})),
-    ("copy table of expansion(K3,3) in K_12^3", lambda: copies(12, HK3), int, None),
-    ("copy table of C5 in K_16", lambda: copies(16, cycle_graph(5)), int, None),
-]
+    def found(summary, nodes=None):
+        """A result summarized, with the node count of its find (or None)."""
+        return lambda result: {"result": summary(result), "find_nodes": nodes and nodes()}
+
+    def copies(n: int, f) -> int:
+        """The number of copies of f in the copy table of K_n^r, listed in full."""
+        *_, table = search._copy_tables(n, hg.make_family([f]))
+        return sum(map(len, table))
+
+    def find_nodes(n, f, colors: dict) -> int:
+        """Nodes of the free search for f in K_n^r, colors keyed by vertex mask."""
+        return col.RainbowEmbedder(n, f).find(colors.get)[1]
+
+    def digest(key) -> str:
+        """A short fingerprint of a canonical key, equal exactly when the keys are."""
+        return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+    # the lower-bound coloring: T(12,3)'s edges in distinct colors, every other pair in one more
+    host, ids = cons.turan_hypergraph(12, 3, 2).edge_set, {}
+    k5_t = col.make_coloring(12, 2, [
+        ids.setdefault(e if e in host else "rest", len(ids)) for e in hg.kn_edges(12, 2)])
+    k5_t_colors = {hg.vertex_mask(e): c for e, c in zip(hg.kn_edges(12, 2), k5_t.colors)}
+    HK5, HK3, EMPTY15 = cons.expansion(K5, 3), cons.expansion(K3, 3), hg.make_hypergraph(15, 3, [])
+    HK8_MINUS = cons.minus_family(cons.expansion(cons.complete_graph(8), 3)).members[0]
+    outside = [
+        ("splitting_family(expansion(C6,3))",
+         lambda: cons.splitting_family(cons.expansion(cons.cycle_graph(6), 3)), found(len)),
+        ("splitting_family(expansion(K5,4), weak)",
+         lambda: cons.splitting_family(cons.expansion(K5, 4), "weak"), found(len)),
+        ("minus_family(expansion(K8,3))",
+         lambda: cons.minus_family(cons.expansion(cons.complete_graph(8), 3)), found(len)),
+        ("canonical_key(expansion(K8,3) - e)",
+         lambda: tree["arl.canonical"].canonical_key(
+             hg.Hypergraph(HK8_MINUS.n, HK8_MINUS.r, HK8_MINUS.edges)), found(digest)),
+        ("find_rainbow_copy(K5, T(12,3) coloring)",
+         lambda: col.find_rainbow_copy(k5_t, K5),
+         found(lambda w: w is not None, lambda: find_nodes(12, K5, k5_t_colors))),
+        ("has_copy(expansion(K5,3), empty K_15^3)",
+         lambda: hg.has_copy(HK5, EMPTY15), found(bool, lambda: find_nodes(15, HK5, {}))),
+        ("copy table of expansion(K3,3) in K_12^3", lambda: copies(12, HK3), found(int)),
+        ("copy table of C5 in K_16", lambda: copies(16, cons.cycle_graph(5)), found(int)),
+    ]
+    return [(name, op, report) for name, op in ladder] + outside
 
 
 def src_lines(src: Path) -> int:
@@ -177,8 +190,8 @@ def src_lines(src: Path) -> int:
 
 def timed(op) -> tuple:
     """op's result, its time per call and the number of calls timed: one
-    call; when that takes under SHORT_S, the mean of as many more as fill
-    SHORT_S; when it takes a time within MIN_OF_S, the least of MIN_OF calls."""
+    call, or when that takes under SHORT_S, the mean of as many more as fill
+    SHORT_S."""
     t0 = time.perf_counter()
     result = op()
     wall, reps = time.perf_counter() - t0, 1
@@ -188,53 +201,23 @@ def timed(op) -> tuple:
             op()
             reps += 1
         wall = (time.perf_counter() - t0) / reps
-    elif MIN_OF_S[0] <= wall <= MIN_OF_S[1]:
-        for reps in range(2, MIN_OF + 1):
-            t0 = time.perf_counter()
-            op()
-            wall = min(wall, time.perf_counter() - t0)
     return result, wall, reps
 
 
-def run_row(name: str) -> dict:
-    """Run the named row in this interpreter and return its time per
-    operation and what it found."""
-    for ladder_name, solve in LADDER:
-        if ladder_name == name:
-            rep, wall, reps = timed(lambda: solve(SearchBudget(max_seconds=MAX_SECONDS)))
-            return {"value": rep.value, "status": rep.status, "nodes": rep.nodes,
-                    "wall_s": wall, "reps": reps}
-    for outside_name, op, summary, nodes in OUTSIDE:
-        if outside_name == name:
-            result, wall, reps = timed(op)
-            return {"result": summary(result), "find_nodes": None if nodes is None else nodes(),
-                    "wall_s": wall, "reps": reps}
-    raise SystemExit(f"no row named {name!r}")
-
-
-def run_row_in(src: Path, name: str) -> dict:
-    """Run the named row once in a fresh interpreter that imports arl from src."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__, "--row", name], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return json.loads(out)
-
-
 def summarize(runs: list) -> dict:
-    """One row's record: the first run's findings, the median and each run's
-    time per operation, and each run's repeats."""
-    walls = [run["wall_s"] for run in runs]
-    row = {k: v for k, v in runs[0].items() if k not in ("wall_s", "reps")}
-    row.update(wall_s=statistics.median(walls), wall_s_runs=walls,
-               reps_runs=[run["reps"] for run in runs])
+    """One row's record from its runs, each (findings, time per operation,
+    repeats): the first run's findings, the median and each run's time per
+    operation, and each run's repeats."""
+    found, walls, reps = zip(*runs)
+    row = dict(found[0])
+    row.update(wall_s=statistics.median(walls), wall_s_runs=list(walls), reps_runs=list(reps))
     if "nodes" in row:
-        row["nodes_runs"] = [run["nodes"] for run in runs]
+        row["nodes_runs"] = [f["nodes"] for f in found]
     return row
 
 
 def write(label: str, src: Path, rows: dict) -> None:
     """Write BENCH_<label>.json: the rows timed against the library in src."""
-    names = [name for name, *_ in LADDER]
     out = {
         "label": label,
         "budget_s": MAX_SECONDS,
@@ -242,8 +225,8 @@ def write(label: str, src: Path, rows: dict) -> None:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "src_lines": src_lines(src),
-        "instances": {name: rows[name] for name in names},
-        "outside_solver": {name: row for name, row in rows.items() if name not in names},
+        "instances": {name: row for name, row in rows.items() if "status" in row},
+        "outside_solver": {name: row for name, row in rows.items() if "status" not in row},
     }
     path = f"BENCH_{label}.json"
     with open(path, "w") as fh:
@@ -254,36 +237,37 @@ def write(label: str, src: Path, rows: dict) -> None:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("label", nargs="?", help="names the output file BENCH_<label>.json")
+    ap.add_argument("label", help="names the output file BENCH_<label>.json")
     ap.add_argument("--parent", type=Path, metavar="SRC",
                     help="also time the library in SRC, alternating with this one; "
                          "write BENCH_pre<label>.json too")
-    # the child: run one row once and print its record as JSON
-    ap.add_argument("--row", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.row is not None:
-        print(json.dumps(run_row(args.row)))
-        return 0
-    if args.label is None:
-        ap.error("a label is required")
 
-    here = Path(arl.__file__).resolve().parent.parent
-    trees = {args.label: here} if args.parent is None else {
+    here = Path(__file__).resolve().parent.parent / "src"
+    srcs = {args.label: here} if args.parent is None else {
         "pre" + args.label: args.parent.resolve(), args.label: here}
-    rows: dict = {label: {} for label in trees}
-    for name in [name for name, *_ in LADDER] + [name for name, *_ in OUTSIDE]:
+    trees, ops = {}, {}
+    for label, src in srcs.items():
+        trees[label] = load(src)
+        ops[label] = rows(trees[label])
+    out: dict = {label: {} for label in trees}
+    for i, (name, *_) in enumerate(ops[args.label]):
         runs: dict = {label: [] for label in trees}
         for k in range(REPEATS):
             # alternate which tree goes first, so neither always runs warmer
             for label in list(trees)[:: 1 if k % 2 == 0 else -1]:
-                runs[label].append(run_row_in(trees[label], name))
+                _, op, findings = ops[label][i]
+                bind(trees[label])
+                result, wall, reps = timed(op)
+                runs[label].append((findings(result), wall, reps))
         for label in trees:
-            rows[label][name] = row = summarize(runs[label])
-            found = " ".join(f"{k}={v}" for k, v in row.items()
-                             if k in ("value", "status", "nodes", "result", "find_nodes"))
+            out[label][name] = row = summarize(runs[label])
+            found = " ".join(f"{k}={row[k]}" for k in runs[label][0][0])
             print(f"{label:<10} {name:<40} {found} wall_s={row['wall_s']:.4f}", flush=True)
-    for label, src in trees.items():
-        write(label, src, rows[label])
+        if len({repr(f) for label in trees for f, _, _ in runs[label]}) > 1:
+            print(f"MISMATCH {name}", flush=True)
+    for label, src in srcs.items():
+        write(label, src, out[label])
     return 0
 
 

@@ -105,6 +105,8 @@ class SearchReport:
 
 
 def _coerce_family(patterns: Union[Hypergraph, Family, Iterable[Hypergraph]]) -> Family:
+    if isinstance(patterns, Family):  # keeps its r, which an empty family has no member to give
+        return patterns
     return make_family([patterns] if isinstance(patterns, Hypergraph) else patterns)
 
 
@@ -473,7 +475,7 @@ def _solve(
     max_nodes, secs = budget.max_nodes, budget.max_seconds
     start = time.monotonic()
     deadline = None if secs is None else start + secs
-    smallest = min(len(m.non_isolated) for m in family.members)
+    smallest = min((len(m.non_isolated) for m in family.members), default=n)
     nodes, below, best, values = 0, None, -1, None
     for k, table in enumerate(_copy_tables(n, family, deadline)):
         if table is None:  # the clock ran out setting up or listing the copies of K_k^r

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from collections import Counter
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arl import formats
 from arl.canonical import stabilizer_orbits
 from arl.constructions import (
     complete_graph,
@@ -197,6 +199,20 @@ class TestExactTuran:
         with pytest.raises(ValueError):
             exact_turan(4, [K3, single_edge(3)])
 
+    @pytest.mark.parametrize("n, r", [(0, 2), (3, 2), (5, 2), (4, 3), (2, 3)])
+    def test_empty_family_forbids_nothing(self, n, r):
+        # a Family names its r, so an empty one is solved: every edge of
+        # K_n^r is chosen, one node each
+        rep = exact_turan(n, make_family([], r=r))
+        assert rep.status == "exact"
+        assert rep.value == rep.nodes == brute_ex(n, [], r) == comb(n, r)
+        assert rep.witness.edge_set == set(kn_edges(n, r))
+        assert verify_feasibility(rep)
+        assert formats.report_from_json(json.loads(formats.dumps(formats.report_to_json(rep)))) == rep
+
+    def test_empty_list_needs_a_uniformity(self):
+        with pytest.raises(ValueError, match="explicit uniformity"):
+            exact_turan(5, [])
 
 
 class TestExactAntiRamsey:
