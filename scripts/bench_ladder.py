@@ -52,9 +52,12 @@ Both srcs are then imported into this one interpreter as two module trees,
 each row's inputs are built from the tree it runs on, and a row's runs
 alternate between the trees, the first tree alternating too, so drift of
 the machine lands on both sides of the pair alike.  The run writes
-BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src, and
-prints MISMATCH <row> for each row whose findings (value, status, nodes,
-result, find_nodes) differ between the trees or between runs of one tree.
+BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src,
+prints RATIO <row> <x> for each row, x the median over the runs k of this
+src's time over OLD/src's in run k (the two times of a run are taken next
+to each other, so a slow spell of the machine lands on both), and prints
+MISMATCH <row> for each row whose findings (value, status, nodes, result,
+find_nodes) differ between the trees or between runs of one tree.
 """
 
 import argparse
@@ -216,6 +219,12 @@ def summarize(runs: list) -> dict:
     return row
 
 
+def paired_ratio(this: list, parent: list) -> float:
+    """The median over k of this[k] / parent[k]: each run's times compared
+    within the run, not the medians of the two trees."""
+    return statistics.median(a / b for a, b in zip(this, parent))
+
+
 def write(label: str, src: Path, rows: dict) -> None:
     """Write BENCH_<label>.json: the rows timed against the library in src."""
     out = {
@@ -264,6 +273,10 @@ def main() -> int:
             out[label][name] = row = summarize(runs[label])
             found = " ".join(f"{k}={row[k]}" for k in runs[label][0][0])
             print(f"{label:<10} {name:<40} {found} wall_s={row['wall_s']:.4f}", flush=True)
+        if args.parent is not None:
+            ratio = paired_ratio(out[args.label][name]["wall_s_runs"],
+                                 out["pre" + args.label][name]["wall_s_runs"])
+            print(f"RATIO {name} {ratio:.3f}", flush=True)
         if len({repr(f) for label in trees for f, _, _ in runs[label]}) > 1:
             print(f"MISMATCH {name}", flush=True)
     for label, src in srcs.items():

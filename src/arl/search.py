@@ -256,30 +256,30 @@ def _branch_and_bound(
     r: int,
     table: list[list[tuple[int, ...]]],
     choices: Callable[[int], Sequence[Optional[int]]],
-    prune_bound: bool,
+    leaf: Callable[[list[Optional[int]], int], int],
     below: Optional[int] = None,
     max_nodes: Optional[int] = None,
     deadline: Optional[float] = None,
-) -> tuple[str, int, Optional[tuple[Optional[int], ...]], int]:
+) -> tuple[str, int]:
     """Depth-first branch and bound over the colex edge list of K_n^r.
 
     Edge j gets each value of choices(top) in order, where top is the number
     of colors used on edges before j.  A value is None, which leaves the edge
-    out, or a color in range(top + 1), where top itself is a fresh color.
-    The order of the values moves only the witness, the first best leaf, and
-    the node count: every leaf is still one path, and the color-count bound
-    and the cuts below drop only leaves no better than the best so far.  A
-    color is vetoed when some copy in table[j] (see _copy_tables) has all its
-    other edges present and, with the color, pairwise distinct colors; those
-    edges rank below j, so this asks whether the decided prefix holds a
-    rainbow copy through edge j.  A node is one value tried on one edge.  With
-    prune_bound, a value that fits gets no subtree when a fresh color on
-    every later edge could not beat the best leaf.  Both solvers pass True.
-    False exists for differential tests: with the anti-Ramsey values and no
-    veto, the node count is then the sum of Bell(j) over 1 <= j <= len(edges).
-    It switches off the color-count bound and the deficit cap and star cut
-    below, not the first-edge rule, which test_first_edge_rule_against_brute
-    checks.
+    out, or a color in range(top + 1), where top itself is a fresh color.  The
+    order of the values moves only the order of the leaves, so the climb's
+    witness, and the node count: every leaf is still one path.  A color is
+    vetoed when some copy in table[j] (see _copy_tables) has all its other edges
+    present and, with the color, pairwise distinct colors; those edges rank
+    below j, so this asks whether the decided prefix holds a rainbow copy
+    through edge j.  A node is one value tried on one edge.  Each leaf goes to
+    leaf(val, c), c its color count and val the loop's live list of values in
+    colex order (copy it to keep it).  It returns the threshold t for the rest
+    of the search, and best = t - 1 (-1 before the first leaf): a value that
+    fits gets no subtree when a fresh color on every later edge would still end
+    at c <= best, so each leaf has c >= t, and neither this color-count bound
+    nor the cuts below drop a leaf with c > best.  At t = 0, with below None or
+    at least 0, only the veto and the first-edge rule cut: with the anti-Ramsey
+    values and no veto, the nodes are the sum of Bell(j), j = 1..len(edges).
 
     The loop keeps its place in arrays, not in recursion, so host size is not
     capped by the recursion limit: tops[j] counts the colors before edge j,
@@ -294,12 +294,12 @@ def _branch_and_bound(
     can be relabeled to color edge 0, with color 0 after renumbering the
     colors by first use.  If color 0 on edge 0 alone completes a copy, then
     so does every single edge, and the next value runs.  The subtree of the
-    first value is searched first either way, so the best leaf is the one
-    the search without the rule finds.
+    first value is searched first either way, so a climb that raises t at
+    each leaf ends on the same leaf as without the rule.
 
-    below, when given, is the best leaf value of the same question on n - 1
-    vertices (-1 when no leaf exists there).  With prune_bound it adds two
-    cuts.  Take a leaf with c colors, a "left out" edge being no color, and a
+    below, when given, is at least the best leaf value of the same question
+    on n - 1 vertices (-1 when no leaf exists there).  It adds two cuts.
+    Take a leaf with c colors, a "left out" edge being no color, and a
     vertex v; let L(v) count the colors whose edges all contain v.  Deleting
     v leaves a leaf on n - 1 vertices: a coloring of K_{n-1}^r with c - L(v)
     colors that still has no rainbow copy, since a copy there is a copy
@@ -314,7 +314,7 @@ def _branch_and_bound(
       room pays it when the color is applied and gets it back on backtrack,
       and it is read only when room is below bar = (n - r)*(best + 1) + r.
       At the root D = 0: once best reaches n*below // (n - r) no leaf can
-      beat it, and the loop stops.  For turan every color is one edge, D
+      reach t, and the loop stops.  For turan every color is one edge, D
       stays 0 and this is the Katona-Nemetz-Simonovits averaging bound.
     * Star cut.  After edge j is decided, a color counts in a leaf's L(v)
       only if all its edges so far contain v, or if one of the undecided
@@ -331,17 +331,12 @@ def _branch_and_bound(
       each visit, and _raises reads the gain only when below + deg - peak[j]
       = best + 1.  With at[v] the edges 0..j at v, slack <= at, so the cut
       is tried only if below + low[j] <= best, low[j] = deg - max(at) - 1.
-    Both cuts drop only leaves with c <= best, and best only grows, so the
-    best leaf found is the one the search without them finds, whatever the
-    first-edge rule or the color-count bound has already dropped.
 
     The search stops with status "budget_exhausted" at the first node past
     max_nodes, or at the first node at which the clock has passed deadline
     (a time.monotonic() value, read on node 1 and then each time the nodes
     tried plus the copies in their table rows pass _CLOCK_TICKS); otherwise
-    the status is "exact".  Returns (status, best, values, nodes):
-    the best leaf's color count (-1 if no leaf was reached), that leaf's
-    values in colex order (None if none) and the nodes tried.
+    the status is "exact".  Returns (status, nodes), the nodes tried.
     """
     edges = kn_edges(n, r)
     M = len(edges)
@@ -349,7 +344,7 @@ def _branch_and_bound(
     options = [choices(top) for top in range(M + 1)]
     val: list[Optional[int]] = [None] * M  # colex rank -> value of each decided edge
 
-    ladder = prune_bound and below is not None
+    ladder = below is not None
     cap = M + 1  # no leaf reaches it: no stop
     bar = r  # (n - r)*(best + 1) + r: below it, room may cut a reused color
     if ladder:
@@ -371,18 +366,16 @@ def _branch_and_bound(
 
     nodes = 0
     ticks, late = 0, False  # read the clock once ticks runs out
-    best = -1
-    best_values: Optional[tuple[Optional[int], ...]] = None
+    best = -1  # the threshold less 1
     status = "exact"
     j = 0 if best < cap else -1
     while j >= 0:
         top = tops[j]
         if j == M:
-            if top > best:
-                best, best_values = top, tuple(val)
-                bar = (n - r) * (best + 1) + r
-                if best >= cap:
-                    break
+            best = leaf(val, top) - 1
+            bar = (n - r) * (best + 1) + r
+            if best >= cap:
+                break
             j -= 1
             continue
         opts, i = options[top], nxt[j]
@@ -410,7 +403,7 @@ def _branch_and_bound(
                 break
             val[j] = c
             up = top + (c == top)
-            cut = prune_bound and up + M - j - 1 <= best
+            cut = up + M - j - 1 <= best
             if ladder and room < bar and c is not None and c < top and not cut:
                 cut = _deficit(common[c], masks[j]) > room - bar + r
             if ladder and not cut and below + low[j] <= best:
@@ -439,7 +432,7 @@ def _branch_and_bound(
         else:
             j -= 1
 
-    return status, best, best_values, nodes
+    return status, nodes
 
 
 def _solve(
@@ -452,17 +445,19 @@ def _solve(
     on k vertices with below set to the value of rung k - 1 and the copy
     table of K_k^r, which _copy_tables grows by the copies through one more
     vertex before each rung, so no copy is listed twice and none beyond the
-    last rung reached.  A rung below n on which no member fits is not
-    searched: every coloring with distinct colors is a leaf, so its value is
-    C(k, r).  The budget covers the whole climb: the tables, their setup and
-    every rung run against one deadline, start + max_seconds, and each rung
-    may try the nodes the rungs before it left of max_nodes, so the report's
+    last rung reached.  Its leaf callback keeps each rung's best leaf: a
+    leaf handed over is the new best, and sets the threshold one above its
+    color count.  A rung below n on which no member fits is not searched:
+    every coloring with distinct colors is a leaf, so its value is C(k, r).
+    The budget covers the whole climb: the tables, their setup and every
+    rung run against one deadline, start + max_seconds, and each rung may
+    try the nodes the rungs before it left of max_nodes, so the report's
     nodes are summed over the rungs.  A rung that runs out, searching or
     listing its copies, ends the run with value None; a run that ends below
     n has no witness for n.  A turan leaf becomes the Hypergraph of its
     chosen edges; an anti_ramsey leaf becomes a Coloring, and the value is
-    one more than its color count.  The instance records as "below" the value
-    rung n leaned on, or None.
+    one more than its color count.  The instance records as "below" the
+    value rung n leaned on, or None.
     """
     turan = problem == "turan"
     if n < 0:
@@ -477,6 +472,12 @@ def _solve(
     deadline = None if secs is None else start + secs
     smallest = min((len(m.non_isolated) for m in family.members), default=n)
     nodes, below, best, values = 0, None, -1, None
+
+    def leaf(val: list[Optional[int]], c: int) -> int:
+        nonlocal best, values
+        best, values = c, tuple(val)  # the loop hands over only c >= best + 1
+        return c + 1
+
     for k, table in enumerate(_copy_tables(n, family, deadline)):
         if table is None:  # the clock ran out setting up or listing the copies of K_k^r
             status, values = "budget_exhausted", None
@@ -487,9 +488,8 @@ def _solve(
             below = comb(k, r)
             continue
         left = None if max_nodes is None else max_nodes - nodes
-        status, best, values, spent = _branch_and_bound(
-            k, r, table, _VALUES[problem], True, below, left, deadline
-        )
+        best, values = -1, None
+        status, spent = _branch_and_bound(k, r, table, _VALUES[problem], leaf, below, left, deadline)
         nodes += spent
         if status != "exact" or k == n:
             break

@@ -4,15 +4,17 @@ Everything here is deliberately naive: permutations instead of backtracking,
 full subset or partition enumeration instead of branch and bound.  The test
 suite trusts these on tiny instances and measures the real implementations
 against them.  copy_table is the one exception: it runs the solver's own
-table builder, for tests that drive _branch_and_bound directly, and
-expansion_automorphisms builds its group from the base graph's brute-force
-one, as permuting an expansion's vertices takes too long.  naive_refine is
-the canonical search's refinement with every cell signed in every round,
-with refine_naive to switch it in, and naive_canonical_edges the canonical
-form from every leaf of the search tree.  twins_off,
-orbits_off and invariant_off switch the twin rules, the families' orbit rule
-and distinct_classes' invariant buckets off, and stabilizer_orbits_on gives
-the free embedder the copy table's orbits, for differential tests.
+table builder, for tests that drive _branch_and_bound directly with a leaf
+callback of their own (the climb's, one that keeps a fixed threshold, or one
+at threshold 0 that no bound can cut), and expansion_automorphisms builds
+its group from the base graph's brute-force one, as permuting an expansion's
+vertices takes too long.  naive_refine is the canonical search's refinement
+with every cell signed in every round, with refine_naive to switch it in,
+and naive_canonical_edges the canonical form from every leaf of the search
+tree.  twins_off, orbits_off and invariant_off switch the twin rules, the
+families' orbit rule and distinct_classes' invariant buckets off, and
+stabilizer_orbits_on gives the free embedder the copy table's orbits, for
+differential tests.
 """
 
 from __future__ import annotations

@@ -68,3 +68,12 @@ def test_a_src_without_arl_is_refused(script, tmp_path):
     sys.path.append(str(SRC))
     with pytest.raises(SystemExit, match="no arl package"):
         script.load(tmp_path)
+
+
+def test_paired_ratio_compares_runs_within_a_run(script):
+    # a slow spell that doubles three runs of the parent and two of this tree
+    # halves the ratio of the trees' medians, 1 over 2, but moves only one
+    # run's own ratio
+    this, parent = [1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0, 2.0]
+    assert script.paired_ratio(this, parent) == 1.0
+    assert script.paired_ratio([3.0, 1.0, 1.0], [1.0, 2.0, 1.0]) == 1.0

@@ -20,7 +20,7 @@ from arl.constructions import (
     single_edge,
     turan_count,
 )
-from arl.coloring import find_rainbow_copy
+from arl.coloring import find_rainbow_copy, make_coloring
 from arl.hypergraph import has_copy, kn_edges, make_family, make_hypergraph, vertex_mask
 from arl.search import (
     SearchBudget,
@@ -35,7 +35,15 @@ from arl.search import (
     exact_turan,
     verify_feasibility,
 )
-from helpers import brute_ar, brute_ex, copy_table, naive_copy_rows, set_partitions
+from helpers import (
+    brute_ar,
+    brute_ex,
+    copy_table,
+    naive_copy_rows,
+    naive_has_copy,
+    naive_has_rainbow,
+    set_partitions,
+)
 
 K3 = complete_graph(3)
 K4 = complete_graph(4)
@@ -50,12 +58,36 @@ K4_3 = complete_hypergraph(4, 3)
 FRESH_LAST = lambda top: range(top + 1)  # noqa: E731
 
 
+def most_leaf():
+    """A leaf at threshold 0, which no bound can cut, and the list holding
+    the largest color count it was handed (-1 before any)."""
+    most = [-1]
+
+    def leaf(val, c):
+        most[0] = max(most[0], c)
+        return 0
+
+    return leaf, most
+
+
+def climb_leaf():
+    """The leaf of _solve's climb, which keeps each leaf it is handed and
+    sets the threshold one above it, and the list [best, values] it fills."""
+    kept = [-1, None]
+
+    def leaf(val, c):
+        kept[:] = c, tuple(val)
+        return c + 1
+
+    return leaf, kept
+
+
 def unbounded_ar(n, pattern, values=_VALUES["anti_ramsey"]):
-    """The anti-Ramsey loop with the color-count bound off, as (status, best,
-    values, nodes): best is the largest rainbow-free color count, one less
-    than ar."""
-    table = copy_table(n, [pattern])
-    return _branch_and_bound(n, pattern.r, table, values, False)
+    """The anti-Ramsey loop at threshold 0, as (status, most, nodes): most is
+    the largest rainbow-free color count, one less than ar."""
+    leaf, most = most_leaf()
+    status, nodes = _branch_and_bound(n, pattern.r, copy_table(n, [pattern]), values, leaf)
+    return status, most[0], nodes
 
 
 def random_pattern(rng, r, max_v=5):
@@ -257,8 +289,8 @@ class TestExactAntiRamsey:
             assert rep.value == brute_ar(n, f), (n, f.edges)
             assert verify_feasibility(rep)
 
-    def test_prune_toggle_agrees(self):
-        _, best, _, nodes = unbounded_ar(4, K3)
+    def test_threshold_zero_walk_agrees(self):
+        _, best, nodes = unbounded_ar(4, K3)
         b = exact_anti_ramsey(4, K3)
         assert best + 1 == b.value
         assert b.nodes <= nodes
@@ -268,7 +300,7 @@ class TestExactAntiRamsey:
         # last edge are the Bell(j) partitions of the shorter prefixes, so the
         # rest, the leaves, are the set partitions of all 6 edges
         big = complete_graph(5)
-        _, best, _, nodes = unbounded_ar(4, big)
+        _, best, nodes = unbounded_ar(4, big)
         assert nodes - sum(bell(j) for j in range(1, 6)) == 203  # Bell(6)
         assert best + 1 == exact_anti_ramsey(4, big).value == comb(4, 2) + 1
 
@@ -474,8 +506,8 @@ def test_loop_reads_the_clock_by_work():
     # clock read every fixed number of nodes would overshoot by seconds
     table = copy_table(10, [HK4])
     start = time.monotonic()
-    status, _, _, nodes = _branch_and_bound(
-        10, 3, table, _VALUES["anti_ramsey"], True, deadline=start + 0.2
+    status, nodes = _branch_and_bound(
+        10, 3, table, _VALUES["anti_ramsey"], climb_leaf()[0], deadline=start + 0.2
     )
     assert time.monotonic() - start < 1.0
     assert status == "budget_exhausted" and nodes > 1
@@ -499,7 +531,7 @@ def test_node_is_one_value_tried(n):
     ex = exact_turan(n, [complete_graph(5)])
     assert (ex.value, ex.nodes) == (M, M)
     for values in (_VALUES["anti_ramsey"], FRESH_LAST):
-        _, best, _, nodes = unbounded_ar(n, complete_graph(5), values)
+        _, best, nodes = unbounded_ar(n, complete_graph(5), values)
         assert (best, nodes) == (M, sum(bell(j) for j in range(1, M + 1)))
     assert exact_anti_ramsey(n, complete_graph(5)).value == M + 1
 
@@ -665,11 +697,12 @@ def test_peak_and_raise_against_recount(data):
 
 def run_loop(n, fam, turan, below=None, values=None, **budget):
     """The loop on n vertices with the solver's values, or the given ones,
-    and bound, leaning on below when it is given, as (status, best, values,
-    nodes)."""
+    and the climb's leaf, leaning on below when it is given, as (status,
+    best, values, nodes)."""
     values = values or _VALUES["turan" if turan else "anti_ramsey"]
-    table = copy_table(n, fam)
-    return _branch_and_bound(n, fam[0].r, table, values, True, below, **budget)
+    leaf, kept = climb_leaf()
+    status, nodes = _branch_and_bound(n, fam[0].r, copy_table(n, fam), values, leaf, below, **budget)
+    return status, *kept, nodes
 
 
 CHERRY = make_hypergraph(4, 3, [(0, 1, 2), (0, 1, 3)])
@@ -727,6 +760,110 @@ def test_ladder_cuts_against_unaided_and_brute_on_random_patterns():
             if min(f.num_edges for f in fam) > 1:
                 check_ladder_cuts(False, n, fam)
                 done += 1
+
+
+# (pattern, the n of its turan walks, the n of its anti-Ramsey walks), each
+# walk at threshold 0 under 40,000 nodes
+THRESHOLD_ZERO_CASES = [
+    (K3, (3, 4, 5, 6), (3, 4, 5)),
+    (C4, (3, 4, 5, 6), (3, 4, 5)),
+    (K4, (3, 4, 5, 6), (3, 4)),
+    (complete_graph(5), (3, 4, 5), (3, 4)),
+    (K4_3, (4, 5), (4,)),
+    (BOOK3, (4, 5, 6), (4, 5, 6)),
+]
+
+
+@pytest.mark.parametrize("turan", [True, False], ids=["turan", "anti_ramsey"])
+@pytest.mark.parametrize("f, ex_ns, ar_ns", THRESHOLD_ZERO_CASES,
+                         ids=["K3", "C4", "K4", "K5", "K4^3", "book"])
+def test_threshold_zero_cuts_nothing(turan, f, ex_ns, ar_ns):
+    # at t = 0 best is -1: the color-count bound never fires, the star cut
+    # needs below + deg - max(slack) < 0 and the deficit cap room < 0, which
+    # a below of at least the true value A(n - 1) rules out; so the walk, its
+    # nodes and its largest leaf, is the one without below
+    values = _VALUES["turan" if turan else "anti_ramsey"]
+    for n in ex_ns if turan else ar_ns:
+        table = copy_table(n, [f])
+        A = run_loop(n - 1, [f], turan)[1]
+        walks = set()
+        for below in (None, A, A + 1, comb(n - 1, f.r)):
+            leaf, most = most_leaf()
+            status, nodes = _branch_and_bound(n, f.r, table, values, leaf, below)
+            walks.add((status, nodes, most[0]))
+        assert len(walks) == 1, (n, walks)
+
+
+def loop_leaves(n, fam, turan, below, t):
+    """The leaves with at least t colors that the loop hands to a leaf that
+    keeps the threshold at t, in the order they come."""
+    got = []
+
+    def leaf(val, c):
+        if c >= t:
+            got.append(tuple(val))
+        return t
+
+    values = _VALUES["turan" if turan else "anti_ramsey"]
+    status, _ = _branch_and_bound(n, fam[0].r, copy_table(n, fam), values, leaf, below)
+    assert status == "exact"
+    return got
+
+
+def brute_leaves(n, fam, turan):
+    """Every leaf by brute force, as (values, color count): for turan the
+    F-free edge sets, each edge its own color, that hold edge 0 unless edge 0
+    alone is a copy (the first-edge rule); for anti_ramsey the restricted
+    growth strings with no rainbow copy of the one member."""
+    r = fam[0].r
+    edges = kn_edges(n, r)
+    out = []
+    if turan:
+        first = edges and not any(
+            naive_has_copy(f, make_hypergraph(n, r, edges[:1])) for f in fam)
+        for mask in range(1 << len(edges)):
+            h = make_hypergraph(n, r, [e for i, e in enumerate(edges) if mask >> i & 1])
+            if first and not mask & 1 or any(naive_has_copy(f, h) for f in fam):
+                continue
+            val, top = [], 0
+            for i in range(len(edges)):
+                val.append(top if mask >> i & 1 else None)
+                top += mask >> i & 1
+            out.append((tuple(val), top))
+    else:
+        for rgs in set_partitions(len(edges)):
+            if not naive_has_rainbow(make_coloring(n, r, rgs), fam[0]):
+                out.append((tuple(rgs), len(set(rgs))))
+    return out
+
+
+M2 = make_hypergraph(4, 2, [(0, 1), (2, 3)])
+GRAPHS = {"K3": [K3], "C4": [C4], "P3": [path_graph(3)], "2K2": [M2], "diamond": [DIAMOND],
+          "K4": [K4], "K2": [single_edge(2)]}
+THREE_GRAPHS = {"book": [BOOK3], "K4^3": [K4_3], "K3^3": [single_edge(3)],
+                "loose path": [make_hypergraph(5, 3, [(0, 1, 2), (2, 3, 4)])]}
+# every turan case has M <= 10 edges, every anti-Ramsey case M <= 6
+FIXED_T_CASES = {
+    **{f"ex({n},{name})": (True, n, fam) for n in (4, 5)
+       for name, fam in [*GRAPHS.items(), ("{K3,2K2}", [K3, M2]), *THREE_GRAPHS.items()]},
+    **{f"ar({n},{name})": (False, n, fam) for n in (3, 4) for name, fam in GRAPHS.items()},
+    **{f"ar(4,{name})": (False, 4, fam) for name, fam in THREE_GRAPHS.items() if name != "loose path"},
+}
+
+
+@pytest.mark.parametrize("turan, n, fam", FIXED_T_CASES.values(), ids=FIXED_T_CASES)
+def test_fixed_threshold_leaves_against_brute(turan, n, fam):
+    # with t fixed, every leaf after the first has c >= t, and the cuts drop
+    # only leaves with c <= t - 1: the leaves kept are every leaf with at
+    # least t colors, each once, with and without the rung below's value
+    brute = brute_leaves(n, fam, turan)
+    A = max((c for _, c in brute), default=-1)
+    A_below = run_loop(n - 1, fam, turan)[1]
+    for below in (None, A_below):
+        for t in range(A + 2):
+            want = Counter(val for val, c in brute if c >= t)
+            got = Counter(loop_leaves(n, fam, turan, below, t))
+            assert got == want, (n, [f.edges for f in fam], below, t)
 
 
 def solve_ar(n, fam, values):
