@@ -31,7 +31,9 @@ the canonical_key row's a digest of the key, keyed on a fresh copy of the
 graph each call, so no cached property carries over.  The
 two table rows time the listing past each pattern's first fit, which the
 solver rows barely reach; they call the private
-arl.search._copy_tables(n, family), whose signature older checkouts share.
+arl.search._copy_tables(n, family), whose signature older checkouts share;
+its last yield is the host (table, masks, most), or in older checkouts the
+bare table, and final_table takes the table from either.
 One timing rule holds for every row: a run times one call of its
 operation, and a run whose call takes under 50 ms repeats the operation
 until the repeats take 50 ms and records the time per operation of the
@@ -55,9 +57,13 @@ the machine lands on both sides of the pair alike.  The run writes
 BENCH_pre<label>.json for OLD/src and BENCH_<label>.json for this src,
 prints RATIO <row> <x> for each row, x the median over the runs k of this
 src's time over OLD/src's in run k (the two times of a run are taken next
-to each other, so a slow spell of the machine lands on both), and prints
-MISMATCH <row> for each row whose findings (value, status, nodes, result,
-find_nodes) differ between the trees or between runs of one tree.
+to each other, so a slow spell of the machine lands on both), then
+SPREAD <row> <lo> <hi>, the least and largest of those per-run ratios.  A
+row whose spread reaches both below 0.9 and above 1.1 is unresolved: its
+runs disagree on the sign of a 10% change, so its RATIO says nothing about
+one.  It prints MISMATCH <row> for each row whose findings (value, status,
+nodes, result, find_nodes) differ between the trees or between runs of one
+tree.
 """
 
 import argparse
@@ -147,8 +153,7 @@ def rows(tree: dict) -> list:
 
     def copies(n: int, f) -> int:
         """The number of copies of f in the copy table of K_n^r, listed in full."""
-        *_, table = search._copy_tables(n, hg.make_family([f]))
-        return sum(map(len, table))
+        return sum(map(len, final_table(search._copy_tables(n, hg.make_family([f])))))
 
     def find_nodes(n, f, colors: dict) -> int:
         """Nodes of the free search for f in K_n^r, colors keyed by vertex mask."""
@@ -186,6 +191,13 @@ def rows(tree: dict) -> list:
     return [(name, op, report) for name, op in ladder] + outside
 
 
+def final_table(yields) -> list:
+    """The copy table of the last host that _copy_tables yields, from the
+    host (table, masks, most) or from a bare table."""
+    *_, last = yields
+    return last[0] if isinstance(last, tuple) else last
+
+
 def src_lines(src: Path) -> int:
     """Newlines in the library's *.py files under src, as wc -l counts them."""
     return sum(p.read_bytes().count(b"\n") for p in (src / "arl").glob("*.py"))
@@ -219,10 +231,15 @@ def summarize(runs: list) -> dict:
     return row
 
 
+def run_ratios(this: list, parent: list) -> list:
+    """this[k] / parent[k] for each run k: each run's times compared within
+    the run, not the medians of the two trees."""
+    return [a / b for a, b in zip(this, parent)]
+
+
 def paired_ratio(this: list, parent: list) -> float:
-    """The median over k of this[k] / parent[k]: each run's times compared
-    within the run, not the medians of the two trees."""
-    return statistics.median(a / b for a, b in zip(this, parent))
+    """The median of the per-run ratios."""
+    return statistics.median(run_ratios(this, parent))
 
 
 def write(label: str, src: Path, rows: dict) -> None:
@@ -274,9 +291,11 @@ def main() -> int:
             found = " ".join(f"{k}={row[k]}" for k in runs[label][0][0])
             print(f"{label:<10} {name:<40} {found} wall_s={row['wall_s']:.4f}", flush=True)
         if args.parent is not None:
-            ratio = paired_ratio(out[args.label][name]["wall_s_runs"],
-                                 out["pre" + args.label][name]["wall_s_runs"])
-            print(f"RATIO {name} {ratio:.3f}", flush=True)
+            this, parent = (out[label][name]["wall_s_runs"]
+                            for label in (args.label, "pre" + args.label))
+            ratios = run_ratios(this, parent)
+            print(f"RATIO {name} {paired_ratio(this, parent):.3f}", flush=True)
+            print(f"SPREAD {name} {min(ratios):.3f} {max(ratios):.3f}", flush=True)
         if len({repr(f) for label in trees for f, _, _ in runs[label]}) > 1:
             print(f"MISMATCH {name}", flush=True)
     for label, src in srcs.items():

@@ -110,38 +110,38 @@ def _coerce_family(patterns: Union[Hypergraph, Family, Iterable[Hypergraph]]) ->
     return make_family([patterns] if isinstance(patterns, Hypergraph) else patterns)
 
 
-def _copy_tables(
-    n: int, family: Family, deadline: Optional[float] = None
-) -> Iterator[Optional[list[list[tuple[int, ...]]]]]:
-    """Yield the copy table of K_k^r for k = 0..n: one list, grown in place.
+def _copy_tables(n: int, family: Family, deadline: Optional[float] = None) -> Iterator[Optional[tuple]]:
+    """Yield the host K_k^r for k = 0..n: (table, masks, most), grown in place.
 
-    table[j] lists, for each copy of a member whose highest colex rank is j,
-    the sorted ranks of its other edges.  Such a copy lies in K_{max(e_j)+1},
-    so the table of K_k^r is that of K_{k-1}^r plus the copies through vertex
-    m = k - 1.  A member on v non-isolated vertices has none before its first
-    fit, m = v - 1, where every copy in K_v^r uses all of range(v).  There
-    RainbowEmbedder lists them, one injection per copy, with the ranks as
-    colors and canonical's stabilizer_orbits as orbits, and the member keeps
-    what this search appended to the rows as its base, each copy a top rank
-    and the sorted other ranks (the rows are shared, so not all they hold).
-    Past the first fit, a copy through m has exactly one vertex set S, and
-    max S = m, so S = C + (m,) for one (v-1)-subset C of range(m).  The
-    increasing map from range(v) onto S sends the base onto the copies on S,
-    each once, and keeps colex order: with R[i] the rank of the image of
-    edge i of K_v^r, a base copy's top edge goes to the image's top edge
-    R[top] and its other ranks to R at them, still sorted.  So each row holds
-    the copies a search would list, in another order, which no veto reads.
-    Members with more than n non-isolated vertices are skipped.
-    If member a embeds in member b, b vetoes nothing a does not: a copy of b
-    that vetoes a color at its top edge j holds an a-copy whose edges are
-    present in distinct colors; its top edge is j, as a's veto would have
-    refused the value on any earlier top edge, so a's veto fires at j too.
-    Yields None and stops once the clock passes deadline (a time.monotonic()
-    value, read at every copy of a first fit, once per vertex set S past it,
-    and after, not during, the symmetry setup).
+    Colex order puts K_{k-1}^r's edges first, so rung k appends, once per
+    climb, only the edges through m = k - 1: for e_j, masks[j] =
+    vertex_mask(e_j), most[j] the most of edges 0..j at one vertex, and
+    table[j], listing for each copy of a member whose highest colex rank is
+    j the sorted ranks of its other edges.  Such a copy lies in
+    K_{max(e_j)+1}, so rung k adds the copies through m.  A member on v
+    non-isolated vertices has none before its first fit, m = v - 1, where
+    every copy in K_v^r uses all of range(v).  There RainbowEmbedder lists
+    them, one injection per copy, with the ranks (a dict of the masks, built
+    for it) as colors and canonical's stabilizer_orbits as orbits, and the
+    member keeps what this search appended to the rows as its base, each
+    copy a top rank and the sorted other ranks (the rows are shared, so not
+    all they hold).  Past the first fit, a copy through m has exactly one
+    vertex set S, and max S = m, so S = C + (m,) for one (v-1)-subset C of
+    range(m).  The increasing map from range(v) onto S sends the base onto
+    the copies on S, each once, and keeps colex order: with R[i] the rank of
+    the image of edge i of K_v^r, a base copy's top edge goes to the image's
+    top edge R[top] and its other ranks to R at them, still sorted.  So each
+    row holds the copies a search would list, in another order, which no
+    veto reads.  Members with more than n non-isolated vertices are
+    skipped.  If member a embeds in member b, b vetoes nothing a does not: a
+    copy of b that vetoes a color at its top edge j holds an a-copy whose
+    edges are present in distinct colors; its top edge is j, as a's veto
+    would have refused the value on any earlier top edge, so a's veto fires
+    at j too.  Yields None and stops once the clock passes deadline (a
+    time.monotonic() value, read at every copy of a first fit, once per
+    vertex set S past it, and after, not during, the symmetry setup).
     """
     r = family.r
-    rank: dict[int, int] = {}  # vertex mask -> colex rank of each edge so far
     binom = [[comb(x, t) for x in range(n)] for t in range(r + 1)]
 
     def leaf(bits: list[int], seen: int) -> bool:
@@ -161,17 +161,22 @@ def _copy_tables(
         yield None
         return
     table: list[list[tuple[int, ...]]] = []
-    yield table
+    masks, most, at, peak = [], [], [0] * n, 0  # at[v]: the edges so far at v, peak: their most
+    yield table, masks, most
     for m in range(n):
-        top = 1 << m
-        for e in kn_edges(m, r - 1):  # the edges through m, in colex order
-            rank[vertex_mask(e) | top] = len(table)
+        for e in kn_edges(m + 1, r)[len(masks):]:  # the edges through m, in colex order
+            for v in e:
+                at[v] += 1
+                peak = max(peak, at[v])
+            masks.append(vertex_mask(e))
+            most.append(peak)
             table.append([])
         for em, base in members:
             v = len(em.order)
             if v == m + 1:  # the first fit
                 before = [len(row) for row in table]
-                if em._embed(rank.get, 2 * top - 1, leaf)[0] is not None:
+                rank = {mask: j for j, mask in enumerate(masks)}
+                if em._embed(rank.get, (1 << v) - 1, leaf)[0] is not None:
                     yield None
                     return
                 if v < n:  # the base: what the search appended, a getter per copy
@@ -185,7 +190,7 @@ def _copy_tables(
                     if deadline is not None and time.monotonic() > deadline:
                         yield None
                         return
-        yield table
+        yield table, masks, most
 
 
 def _getter(others: Sequence[int]) -> Callable[[list[int]], tuple[int, ...]]:
@@ -214,12 +219,12 @@ def _vetoed(copies: list[tuple[int, ...]], val: list[Optional[int]], c: int) -> 
     """Whether some copy, given by the ranks of its other edges, has all of
     them present in val with pairwise distinct colors other than c."""
     for others in copies:
-        seen = {c}
+        seen = 1 << c  # the colors met, as bits
         for o in others:
             x = val[o]
-            if x is None or x in seen:
+            if x is None or seen >> x & 1:
                 break
-            seen.add(x)
+            seen |= 1 << x
         else:
             return True
     return False
@@ -254,7 +259,7 @@ def _raises(slack: list[int], peak: int, edge: tuple[int, ...], extra: int) -> b
 def _branch_and_bound(
     n: int,
     r: int,
-    table: list[list[tuple[int, ...]]],
+    host: tuple,
     choices: Callable[[int], Sequence[Optional[int]]],
     leaf: Callable[[list[Optional[int]], int], int],
     below: Optional[int] = None,
@@ -267,18 +272,19 @@ def _branch_and_bound(
     of colors used on edges before j.  A value is None, which leaves the edge
     out, or a color in range(top + 1), where top itself is a fresh color.  The
     order of the values moves only the order of the leaves, so the climb's
-    witness, and the node count: every leaf is still one path.  A color is
-    vetoed when some copy in table[j] (see _copy_tables) has all its other edges
-    present and, with the color, pairwise distinct colors; those edges rank
-    below j, so this asks whether the decided prefix holds a rainbow copy
-    through edge j.  A node is one value tried on one edge.  Each leaf goes to
-    leaf(val, c), c its color count and val the loop's live list of values in
-    colex order (copy it to keep it).  It returns the threshold t for the rest
-    of the search, and best = t - 1 (-1 before the first leaf): a value that
-    fits gets no subtree when a fresh color on every later edge would still end
-    at c <= best, so each leaf has c >= t, and neither this color-count bound
-    nor the cuts below drop a leaf with c > best.  At t = 0, with below None or
-    at least 0, only the veto and the first-edge rule cut: with the anti-Ramsey
+    witness, and the node count: every leaf is still one path.  The host is
+    (table, masks, most) of K_n^r, as _copy_tables yields it.  A color is
+    vetoed when some copy in table[j] has all its other edges present and,
+    with the color, pairwise distinct colors; those edges rank below j, so
+    this asks whether the decided prefix holds a rainbow copy through edge j.
+    A node is one value tried on one edge.  Each leaf goes to leaf(val, c), c
+    its color count and val the loop's live list of values in colex order
+    (copy it to keep it).  It returns the threshold t for the rest of the
+    search, and best = t - 1 (-1 before the first leaf): a value that fits
+    gets no subtree when a fresh color on every later edge would still end at
+    c <= best, so each leaf has c >= t, and neither this color-count bound nor
+    the cuts below drop a leaf with c > best.  At t = 0, with below None or at
+    least 0, only the veto and the first-edge rule cut: with the anti-Ramsey
     values and no veto, the nodes are the sum of Bell(j), j = 1..len(edges).
 
     The loop keeps its place in arrays, not in recursion, so host size is not
@@ -330,7 +336,7 @@ def _branch_and_bound(
       over peak[j], its maximum before edge j, filled when first needed on
       each visit, and _raises reads the gain only when below + deg - peak[j]
       = best + 1.  With at[v] the edges 0..j at v, slack <= at, so the cut
-      is tried only if below + low[j] <= best, low[j] = deg - max(at) - 1.
+      is tried only if below + deg - most[j] - 1 <= best: most[j] = max(at).
 
     The search stops with status "budget_exhausted" at the first node past
     max_nodes, or at the first node at which the clock has passed deadline
@@ -338,9 +344,9 @@ def _branch_and_bound(
     tried plus the copies in their table rows pass _CLOCK_TICKS); otherwise
     the status is "exact".  Returns (status, nodes), the nodes tried.
     """
+    table, masks, most = host
     edges = kn_edges(n, r)
     M = len(edges)
-    masks = [vertex_mask(e) for e in edges]
     options = [choices(top) for top in range(M + 1)]
     val: list[Optional[int]] = [None] * M  # colex rank -> value of each decided edge
 
@@ -352,12 +358,7 @@ def _branch_and_bound(
             cap = n * below // (n - r)
         room = n * below  # n*below - D, D the deficit of the colors so far
         deg = comb(n - 1, r - 1) if n else 0  # the edges at each vertex
-        low, at, most = [], [0] * n, 0  # at[v]: edges 0..j at v, most: their maximum
-        for e in edges:
-            for v in e:
-                at[v] += 1
-                most = max(most, at[v])
-            low.append(deg - most - 1)
+        star = below + deg - 1  # the star cut is tried once star - most[j] <= best
     common: list[int] = []  # color -> AND of the vertex masks of its edges
     slack = [0] * n  # v -> decided edges at v less the colors whose edges all contain v
     olds = [0] * M  # edge -> its color's AND before it, when it reused one
@@ -406,7 +407,7 @@ def _branch_and_bound(
             cut = up + M - j - 1 <= best
             if ladder and room < bar and c is not None and c < top and not cut:
                 cut = _deficit(common[c], masks[j]) > room - bar + r
-            if ladder and not cut and below + low[j] <= best:
+            if ladder and not cut and star - most[j] <= best:
                 if peak[j] < 0:
                     peak[j] = max(slack)
                 gap = below + deg - peak[j] - best  # cut if gap - (the raise) <= 0
@@ -440,24 +441,23 @@ def _solve(
 ) -> SearchReport:
     """Run one solver: the one path from patterns to a report.
 
-    Checks the input and climbs the ladder k = r..n with the problem's
-    values from _VALUES, a fresh color first.  Rung k runs _branch_and_bound
-    on k vertices with below set to the value of rung k - 1 and the copy
-    table of K_k^r, which _copy_tables grows by the copies through one more
-    vertex before each rung, so no copy is listed twice and none beyond the
-    last rung reached.  Its leaf callback keeps each rung's best leaf: a
-    leaf handed over is the new best, and sets the threshold one above its
-    color count.  A rung below n on which no member fits is not searched:
-    every coloring with distinct colors is a leaf, so its value is C(k, r).
-    The budget covers the whole climb: the tables, their setup and every
-    rung run against one deadline, start + max_seconds, and each rung may
-    try the nodes the rungs before it left of max_nodes, so the report's
+    Checks the input and climbs the ladder k = r..n with the problem's values
+    from _VALUES, a fresh color first.  Rung k runs _branch_and_bound on k
+    vertices with below set to the value of rung k - 1 and the host K_k^r,
+    which _copy_tables grows by one vertex's edges and copies per rung, none
+    twice or past the last rung reached.  Its leaf callback keeps each rung's
+    best leaf: a leaf handed over is the new best, and sets the threshold one
+    above its color count.  A rung below n on which no member fits is not
+    searched: every coloring with distinct colors is a leaf, so its value is
+    C(k, r).  The budget covers the whole climb: the tables, their setup and
+    every rung run against one deadline, start + max_seconds, and each rung
+    may try the nodes the rungs before it left of max_nodes, so the report's
     nodes are summed over the rungs.  A rung that runs out, searching or
-    listing its copies, ends the run with value None; a run that ends below
-    n has no witness for n.  A turan leaf becomes the Hypergraph of its
-    chosen edges; an anti_ramsey leaf becomes a Coloring, and the value is
-    one more than its color count.  The instance records as "below" the
-    value rung n leaned on, or None.
+    listing its copies, ends the run with value None; a run that ends below n
+    has no witness for n.  A turan leaf becomes the Hypergraph of its chosen
+    edges, already in colex order; an anti_ramsey leaf becomes a Coloring,
+    and the value is one more than its color count.  The instance records as
+    "below" the value rung n leaned on, or None.
     """
     turan = problem == "turan"
     if n < 0:
@@ -478,8 +478,8 @@ def _solve(
         best, values = c, tuple(val)  # the loop hands over only c >= best + 1
         return c + 1
 
-    for k, table in enumerate(_copy_tables(n, family, deadline)):
-        if table is None:  # the clock ran out setting up or listing the copies of K_k^r
+    for k, host in enumerate(_copy_tables(n, family, deadline)):
+        if host is None:  # the clock ran out setting up or listing the copies of K_k^r
             status, values = "budget_exhausted", None
             break
         if k < min(r, n):
@@ -489,7 +489,7 @@ def _solve(
             continue
         left = None if max_nodes is None else max_nodes - nodes
         best, values = -1, None
-        status, spent = _branch_and_bound(k, r, table, _VALUES[problem], leaf, below, left, deadline)
+        status, spent = _branch_and_bound(k, r, host, _VALUES[problem], leaf, below, left, deadline)
         nodes += spent
         if status != "exact" or k == n:
             break
@@ -497,8 +497,8 @@ def _solve(
     if k < n:
         values = None
     if turan:
-        chosen = [e for e, c in zip(kn_edges(n, r), values or ()) if c is not None]
-        value, witness = best, make_hypergraph(n, r, chosen)
+        chosen = tuple(e for e, c in zip(kn_edges(n, r), values or ()) if c is not None)
+        value, witness = best, Hypergraph(n, r, chosen)
     else:
         value = max(best, 0) + 1
         witness = None if values is None else make_coloring(n, r, values)

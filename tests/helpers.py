@@ -3,15 +3,16 @@
 Everything here is deliberately naive: permutations instead of backtracking,
 full subset or partition enumeration instead of branch and bound.  The test
 suite trusts these on tiny instances and measures the real implementations
-against them.  copy_table is the one exception: it runs the solver's own
-table builder, for tests that drive _branch_and_bound directly with a leaf
-callback of their own (the climb's, one that keeps a fixed threshold, or one
-at threshold 0 that no bound can cut), and expansion_automorphisms builds
-its group from the base graph's brute-force one, as permuting an expansion's
-vertices takes too long.  naive_refine is the canonical search's refinement
+against them.  copy_host and copy_table are the one exception: they run
+the solver's own host builder, for tests that drive _branch_and_bound
+directly with a leaf callback of their own (the climb's, one that keeps a
+fixed threshold, or one at threshold 0 that no bound can cut), and
+expansion_automorphisms builds its group from the base graph's brute-force
+one, as permuting an expansion's vertices takes too long.  naive_refine is the canonical search's refinement
 with every cell signed in every round, with refine_naive to switch it in,
 and naive_canonical_edges the canonical form from every leaf of the search
-tree.  twins_off, orbits_off and invariant_off switch the twin rules, the
+tree, and vetoed_by_sets the veto with its seen colors in a set.
+twins_off, orbits_off and invariant_off switch the twin rules, the
 families' orbit rule and distinct_classes' invariant buckets off, and
 stabilizer_orbits_on gives the free embedder the copy table's orbits, for
 differential tests.
@@ -125,11 +126,27 @@ def naive_placement_order(f: Hypergraph) -> list[int]:
     return order
 
 
+def copy_host(n: int, patterns: Sequence[Hypergraph]) -> tuple:
+    """The solver's host K_n^r for the patterns, (table, masks, most), the
+    last that _copy_tables yields."""
+    *_, host = _copy_tables(n, make_family(list(patterns)))
+    return host
+
+
 def copy_table(n: int, patterns: Sequence[Hypergraph]) -> list[list[tuple[int, ...]]]:
-    """The solver's copy table of K_n^r for the patterns, the last that
-    _copy_tables yields."""
-    *_, table = _copy_tables(n, make_family(list(patterns)))
-    return table
+    """The solver's copy table of K_n^r for the patterns."""
+    return copy_host(n, patterns)[0]
+
+
+def vetoed_by_sets(copies: Sequence[tuple[int, ...]], val: Sequence[Optional[int]], c: int) -> bool:
+    """Whether some copy, given by the ranks of its other edges, has all of
+    them present in val with pairwise distinct colors other than c; the
+    colors met are kept in a set."""
+    for others in copies:
+        colors = [val[o] for o in others]
+        if None not in colors and len({c, *colors}) == len(colors) + 1:
+            return True
+    return False
 
 
 def brute_automorphisms(h: Hypergraph) -> set[tuple[int, ...]]:

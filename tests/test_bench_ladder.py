@@ -3,7 +3,9 @@
 import importlib
 import importlib.util
 import sys
+from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -77,3 +79,35 @@ def test_paired_ratio_compares_runs_within_a_run(script):
     this, parent = [1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0, 2.0]
     assert script.paired_ratio(this, parent) == 1.0
     assert script.paired_ratio([3.0, 1.0, 1.0], [1.0, 2.0, 1.0]) == 1.0
+
+
+def test_run_ratios_give_the_spread(script):
+    # SPREAD prints the least and largest of these, around RATIO's median
+    ratios = script.run_ratios([1.0, 3.0, 1.0], [2.0, 2.0, 1.0])
+    assert ratios == [0.5, 1.5, 1.0]
+    assert script.paired_ratio([1.0, 3.0, 1.0], [2.0, 2.0, 1.0]) == 1.0
+
+
+def test_final_table_from_either_yield_shape(script):
+    # a checkout's _copy_tables yields the host (table, masks, most) per
+    # rung, an older one the bare table
+    table = [[], [], [(0, 1)]]
+    assert script.final_table(iter([([], [], []), (table, [3, 5, 6], [1, 2, 2])])) is table
+    assert script.final_table(iter([[], table])) is table
+
+
+def test_copy_table_rows_from_either_yield_shape(script):
+    # C5 has 12 copies on its own five vertices, so C(16, 5) * 12 in K_16
+    tree = script.load(SRC)
+    search = tree["arl.search"]
+
+    def bare(n, family, deadline=None):
+        for host in search._copy_tables(n, family, deadline):
+            yield None if host is None else host[0]
+
+    old = dict(tree, **{"arl.search": SimpleNamespace(**{**vars(search), "_copy_tables": bare})})
+    name = "copy table of C5 in K_16"
+    for t in (tree, old):
+        op, findings = next((op, findings) for row, op, findings in script.rows(t) if row == name)
+        script.bind(tree)
+        assert findings(op())["result"] == comb(16, 5) * 12

@@ -31,6 +31,7 @@ from arl.search import (
     _deficit,
     _raises,
     _solve,
+    _vetoed,
     exact_anti_ramsey,
     exact_turan,
     verify_feasibility,
@@ -38,11 +39,13 @@ from arl.search import (
 from helpers import (
     brute_ar,
     brute_ex,
+    copy_host,
     copy_table,
     naive_copy_rows,
     naive_has_copy,
     naive_has_rainbow,
     set_partitions,
+    vetoed_by_sets,
 )
 
 K3 = complete_graph(3)
@@ -86,7 +89,7 @@ def unbounded_ar(n, pattern, values=_VALUES["anti_ramsey"]):
     """The anti-Ramsey loop at threshold 0, as (status, most, nodes): most is
     the largest rainbow-free color count, one less than ar."""
     leaf, most = most_leaf()
-    status, nodes = _branch_and_bound(n, pattern.r, copy_table(n, [pattern]), values, leaf)
+    status, nodes = _branch_and_bound(n, pattern.r, copy_host(n, [pattern]), values, leaf)
     return status, most[0], nodes
 
 
@@ -454,6 +457,64 @@ def test_copy_table_rows_against_brute_listing(case):
     assert [Counter(row) for row in table] == naive_copy_rows(n, members)
 
 
+@st.composite
+def host_families(draw):
+    """A host size n <= 9 and one or two members of one uniformity r in
+    1..4, each on r..r+2 vertices with one or two edges."""
+    r = draw(st.integers(1, 4), label="r")
+    members = []
+    for i in range(draw(st.integers(1, 2), label="members")):
+        pool = kn_edges(draw(st.integers(r, r + 2), label=f"vertices of {i}"), r)
+        edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True),
+                     label=f"edges of {i}")
+        members.append(make_hypergraph(max(map(max, edges)) + 1, r, edges))
+    return draw(st.integers(0, 9), label="n"), members
+
+
+@settings(max_examples=100, deadline=None)
+@given(host_families())
+@example((9, [complete_hypergraph(4, 4)]))
+@example((9, [single_edge(1)]))
+def test_grown_host_against_a_fresh_build(case):
+    # each rung's host grows the last one's lists in place, so the masks and
+    # the running maximum of edges per vertex are checked before the next
+    # rung appends to them
+    n, members = case
+    r = members[0].r
+    for k, (table, masks, most) in enumerate(_copy_tables(n, make_family(members))):
+        edges = kn_edges(k, r)
+        assert masks == [vertex_mask(e) for e in edges]
+        at, fresh = [0] * k, []
+        for e in edges:
+            for v in e:
+                at[v] += 1
+            fresh.append(max(at))
+        assert most == fresh
+        assert len(table) == len(edges)
+
+
+@st.composite
+def veto_cases(draw):
+    """(a row of copies, val, c) over at most 8 edges, with colors drawn from
+    a palette that holds one of 64 or more, so the bits of the colors met
+    outgrow a machine word."""
+    palette = draw(st.lists(st.integers(0, 300), max_size=5), label="palette")
+    palette.append(draw(st.integers(64, 300), label="wide color"))
+    M = draw(st.integers(1, 8), label="edges")
+    val = draw(st.lists(st.none() | st.sampled_from(palette), min_size=M, max_size=M), label="val")
+    others = st.lists(st.integers(0, M - 1), max_size=4, unique=True).map(lambda o: tuple(sorted(o)))
+    return draw(st.lists(others, max_size=5), label="row"), val, draw(st.sampled_from(palette), label="c")
+
+
+@settings(max_examples=400, deadline=None)
+@given(veto_cases())
+@example(([(0, 1)], [64, 128], 0))
+@example(([(0, 1)], [64, 128], 128))
+@example(([(0,), (1, 2)], [999, 0, 1000], 999))
+def test_veto_against_set_reference(case):
+    assert _vetoed(*case) == vetoed_by_sets(*case)
+
+
 def test_relabeling_reads_the_clock_per_vertex_set():
     # C5 has 12 copies on its own five vertices and 1.7 million in K_30^2,
     # listed by relabeling onto every vertex set; the clock is read at each
@@ -504,10 +565,10 @@ def test_node_budget_bounds_the_copy_table(solve):
 def test_loop_reads_the_clock_by_work():
     # an anti-Ramsey node on this table scans thousands of copies, so a
     # clock read every fixed number of nodes would overshoot by seconds
-    table = copy_table(10, [HK4])
+    host = copy_host(10, [HK4])
     start = time.monotonic()
     status, nodes = _branch_and_bound(
-        10, 3, table, _VALUES["anti_ramsey"], climb_leaf()[0], deadline=start + 0.2
+        10, 3, host, _VALUES["anti_ramsey"], climb_leaf()[0], deadline=start + 0.2
     )
     assert time.monotonic() - start < 1.0
     assert status == "budget_exhausted" and nodes > 1
@@ -701,7 +762,7 @@ def run_loop(n, fam, turan, below=None, values=None, **budget):
     best, values, nodes)."""
     values = values or _VALUES["turan" if turan else "anti_ramsey"]
     leaf, kept = climb_leaf()
-    status, nodes = _branch_and_bound(n, fam[0].r, copy_table(n, fam), values, leaf, below, **budget)
+    status, nodes = _branch_and_bound(n, fam[0].r, copy_host(n, fam), values, leaf, below, **budget)
     return status, *kept, nodes
 
 
@@ -784,12 +845,12 @@ def test_threshold_zero_cuts_nothing(turan, f, ex_ns, ar_ns):
     # nodes and its largest leaf, is the one without below
     values = _VALUES["turan" if turan else "anti_ramsey"]
     for n in ex_ns if turan else ar_ns:
-        table = copy_table(n, [f])
+        host = copy_host(n, [f])
         A = run_loop(n - 1, [f], turan)[1]
         walks = set()
         for below in (None, A, A + 1, comb(n - 1, f.r)):
             leaf, most = most_leaf()
-            status, nodes = _branch_and_bound(n, f.r, table, values, leaf, below)
+            status, nodes = _branch_and_bound(n, f.r, host, values, leaf, below)
             walks.add((status, nodes, most[0]))
         assert len(walks) == 1, (n, walks)
 
@@ -805,7 +866,7 @@ def loop_leaves(n, fam, turan, below, t):
         return t
 
     values = _VALUES["turan" if turan else "anti_ramsey"]
-    status, _ = _branch_and_bound(n, fam[0].r, copy_table(n, fam), values, leaf, below)
+    status, _ = _branch_and_bound(n, fam[0].r, copy_host(n, fam), values, leaf, below)
     assert status == "exact"
     return got
 
