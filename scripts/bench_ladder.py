@@ -61,9 +61,9 @@ to each other, so a slow spell of the machine lands on both), then
 SPREAD <row> <lo> <hi>, the least and largest of those per-run ratios.  A
 row whose spread reaches both below 0.9 and above 1.1 is unresolved: its
 runs disagree on the sign of a 10% change, so its RATIO says nothing about
-one.  It prints MISMATCH <row> for each row whose findings (value, status,
-nodes, result, find_nodes) differ between the trees or between runs of one
-tree.
+one, and UNRESOLVED <row> follows its SPREAD (see unresolved).  It prints
+MISMATCH <row> for each row whose findings (value, status, nodes, result,
+find_nodes) differ between the trees or between runs of one tree.
 """
 
 import argparse
@@ -242,6 +242,12 @@ def paired_ratio(this: list, parent: list) -> float:
     return statistics.median(run_ratios(this, parent))
 
 
+def unresolved(ratios: list) -> bool:
+    """Whether per-run ratios reach both below 0.9 and above 1.1, so the
+    runs disagree on the sign of a 10% change."""
+    return min(ratios) < 0.9 and max(ratios) > 1.1
+
+
 def write(label: str, src: Path, rows: dict) -> None:
     """Write BENCH_<label>.json: the rows timed against the library in src."""
     out = {
@@ -296,6 +302,8 @@ def main() -> int:
             ratios = run_ratios(this, parent)
             print(f"RATIO {name} {paired_ratio(this, parent):.3f}", flush=True)
             print(f"SPREAD {name} {min(ratios):.3f} {max(ratios):.3f}", flush=True)
+            if unresolved(ratios):
+                print(f"UNRESOLVED {name}", flush=True)
         if len({repr(f) for label in trees for f, _, _ in runs[label]}) > 1:
             print(f"MISMATCH {name}", flush=True)
     for label, src in srcs.items():

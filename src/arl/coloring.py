@@ -258,24 +258,25 @@ class RainbowEmbedder:
             raise ValueError("find searches freely; anchor must be None")
         if len(self.order) > self.n:
             return None, 0
-        hit, nodes = self._embed(color_at, (1 << self.n) - 1, lambda *_: True, max_nodes)
+        hit, nodes = self._embed(color_at, lambda *_: True, max_nodes)
         if hit is None:
             return None, nodes
         at = {v: bit.bit_length() - 1 for v, bit in zip(self.order, hit)}
         return Embedding(tuple(map(at.get, range(self.f.n)))), nodes
 
-    def _embed(self, color_at: Callable, host: int, leaf: Callable,
+    def _embed(self, color_at: Callable, leaf: Callable,
                max_nodes: Optional[int] = None) -> tuple[Optional[list[int]], int]:
         """Depth-first search over the rainbow embeddings least in their
-        cosets into the vertices of mask host, position q's image above
-        bits[low[q]].  seen, the colors of the edges placed so far as one
-        int with bit c for color c, travels down the recursion.  leaf(bits,
-        seen) gets each one's images as bits and its edge colors as that
-        mask, and stops the search by returning True.  Returns
-        (the bits there or None, nodes), a node being one image tried, and
-        raises BudgetExhausted past max_nodes nodes."""
+        cosets into range(self.n), position q's image above bits[low[q]].
+        seen, the colors of the edges placed so far as one int with bit c
+        for color c, travels down the recursion.  leaf(bits, seen) gets each
+        one's images as bits and its edge colors as that mask, and stops the
+        search by returning True.  Returns (the bits there or None, nodes), a
+        node being one image tried, and raises BudgetExhausted past max_nodes
+        nodes."""
         sched, low, k = self.schedule, self.low, len(self.order)
         bits, nodes = [0] * (k + 1), 0  # bits[-1]: no bound
+        host = (1 << self.n) - 1  # every vertex of K_n^r
 
         def dfs(q: int, used: int, seen: int) -> bool:
             nonlocal nodes

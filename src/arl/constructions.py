@@ -25,7 +25,7 @@ from .hypergraph import (
     Family,
     Hypergraph,
     _extends_independent,
-    check_mode,
+    _independent_sets,
     colex_key,
     is_independent,
     make_hypergraph,
@@ -163,14 +163,15 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     class too), so it is the one set kept for its core.
 
     The cores are exactly the independent sets of vertices of degree not 1,
-    listed by a depth-first search over those vertices alone.  The lex-first
-    set with core C holds no degree-1 vertex above max(C), as dropping it
-    gives a proper prefix; below max(C), a degree-1 vertex v that keeps
-    C, the vertices chosen so far and v independent makes the set smaller
-    at v's position, so the greedy pass in increasing order builds it.  Both
-    passes add one vertex at a time to an independent set, so each tests
-    the vertex on its own edges alone.  The cores are then ordered by these
-    sets, so the padding vertices of an expansion never multiply the work.
+    listed by the shared search, _independent_sets, over those vertices (the
+    hubs) alone.  The lex-first set with core C holds no degree-1 vertex
+    above max(C), as dropping it gives a proper prefix; below max(C), a
+    degree-1 vertex v that keeps C, the vertices chosen so far and v
+    independent makes the set smaller at v's position, so the greedy pass in
+    increasing order builds it.  Both passes add one vertex at a time to an
+    independent set, so each tests the vertex on its own edges alone.  The
+    cores are then ordered by these sets, so the padding vertices of an
+    expansion never multiply the work.
 
     The cores then pass through orbit_representatives, which drops a core in
     the orbit of an earlier kept one under automorphisms of f.  An
@@ -183,34 +184,20 @@ def splitting_family(f: Hypergraph, mode: str = "weak") -> Family:
     still runs, as different orbits can give isomorphic splits, and the
     members are those the unreduced dedupe would keep, in the same order.
     """
-    check_mode(mode)
     hubs = [v for v in range(f.n) if f.degrees[v] != 1]
-    found: list[tuple[int, ...]] = []
-    in_set = [False] * f.n  # the vertices of the set being extended
-
-    def extend(core: tuple[int, ...], start: int) -> None:
-        found.append(core)
-        for i in range(start, len(hubs)):
-            v = hubs[i]
-            if _extends_independent(f, in_set, v, mode):
-                in_set[v] = True
-                extend(core + (v,), i + 1)
-                in_set[v] = False
 
     def first_set(core: tuple[int, ...]) -> tuple[int, ...]:
-        s = list(core)
+        s, in_set = list(core), [False] * f.n
         for v in s:
             in_set[v] = True
         for v in range(core[-1] if core else 0):
             if f.degrees[v] == 1 and _extends_independent(f, in_set, v, mode):
                 s.append(v)
                 in_set[v] = True
-        for v in s:
-            in_set[v] = False
         return tuple(sorted(s))
 
-    extend((), 0)
-    cores = dict(sorted(((c, first_set(c)) for c in found), key=lambda cs: cs[1]))
+    cores = dict(sorted(((c, first_set(c)) for c in _independent_sets(f, mode, hubs)),
+                        key=lambda cs: cs[1]))
     splits = (split_set(f, cores[c], mode) for c in orbit_representatives(f, cores))
     return Family(r=f.r, members=distinct_classes(splits))
 

@@ -241,11 +241,20 @@ def _extends_independent(
 
 
 def independent_sets(h: Hypergraph, mode: str = "weak") -> list[tuple[int, ...]]:
-    """All independent sets as sorted tuples, the empty set included.
+    """All independent sets as sorted tuples, the empty set included, in
+    lexicographic order: _independent_sets over every vertex."""
+    return _independent_sets(h, mode, range(h.n))
+
+
+def _independent_sets(
+    h: Hypergraph, mode: str, vertices: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The independent sets of h inside the ascending vertex list vertices,
+    as sorted tuples, the empty set included, in lexicographic order.
 
     Both notions are closed under taking subsets, so a depth-first extension
-    over vertices in increasing order enumerates each set exactly once.
-    Output order is lexicographic.
+    over the vertices in increasing order enumerates each set exactly once,
+    each before its extensions, so the output order is lexicographic.
     """
     check_mode(mode)
     out: list[tuple[int, ...]] = []
@@ -254,11 +263,12 @@ def independent_sets(h: Hypergraph, mode: str = "weak") -> list[tuple[int, ...]]
 
     def rec(start: int) -> None:
         out.append(tuple(current))
-        for v in range(start, h.n):
+        for i in range(start, len(vertices)):
+            v = vertices[i]
             if _extends_independent(h, in_set, v, mode):
                 current.append(v)
                 in_set[v] = True
-                rec(v + 1)
+                rec(i + 1)
                 current.pop()
                 in_set[v] = False
 

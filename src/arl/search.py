@@ -120,12 +120,13 @@ def _copy_tables(n: int, family: Family, deadline: Optional[float] = None) -> It
     j the sorted ranks of its other edges.  Such a copy lies in
     K_{max(e_j)+1}, so rung k adds the copies through m.  A member on v
     non-isolated vertices has none before its first fit, m = v - 1, where
-    every copy in K_v^r uses all of range(v).  There RainbowEmbedder lists
-    them, one injection per copy, with the ranks (a dict of the masks, built
-    for it) as colors and canonical's stabilizer_orbits as orbits, and the
-    member keeps what this search appended to the rows as its base, each
-    copy a top rank and the sorted other ranks (the rows are shared, so not
-    all they hold).  Past the first fit, a copy through m has exactly one
+    every copy in K_v^r uses all of range(v).  There the member's plan, a
+    RainbowEmbedder built on its own v vertices, lists them, one injection
+    per copy, with the ranks (a dict of the masks, built for it) as colors
+    and canonical's stabilizer_orbits as orbits, and the member keeps what
+    this search appended to the rows as its base, each copy a top rank and
+    the sorted other ranks (the rows are shared, so not all they hold).
+    Past the first fit, a copy through m has exactly one
     vertex set S, and max S = m, so S = C + (m,) for one (v-1)-subset C of
     range(m).  The increasing map from range(v) onto S sends the base onto
     the copies on S, each once, and keeps colex order: with R[i] the rank of
@@ -155,7 +156,7 @@ def _copy_tables(n: int, family: Family, deadline: Optional[float] = None) -> It
         table[top].append(tuple(others))
         return deadline is not None and time.monotonic() > deadline
 
-    members = [(RainbowEmbedder(n, f, stabilizer_orbits), [])
+    members = [(RainbowEmbedder(len(f.non_isolated), f, stabilizer_orbits), [])
                for f in family.members if len(f.non_isolated) <= n]
     if deadline is not None and time.monotonic() > deadline:
         yield None
@@ -172,11 +173,11 @@ def _copy_tables(n: int, family: Family, deadline: Optional[float] = None) -> It
             most.append(peak)
             table.append([])
         for em, base in members:
-            v = len(em.order)
+            v = em.n
             if v == m + 1:  # the first fit
                 before = [len(row) for row in table]
                 rank = {mask: j for j, mask in enumerate(masks)}
-                if em._embed(rank.get, (1 << v) - 1, leaf)[0] is not None:
+                if em._embed(rank.get, leaf)[0] is not None:
                     yield None
                     return
                 if v < n:  # the base: what the search appended, a getter per copy
@@ -244,15 +245,12 @@ def _deficit(old: int, mask: int) -> int:
     return (old & ~mask).bit_count()
 
 
-def _raises(slack: list[int], peak: int, edge: tuple[int, ...], extra: int) -> bool:
-    """Whether slack is peak at some vertex of edge or of the mask extra."""
-    for v in edge:
-        if slack[v] == peak:
+def _raises(slack: list[int], peak: int, mask: int) -> bool:
+    """Whether slack is peak at some vertex of mask."""
+    while mask:
+        if slack[(mask & -mask).bit_length() - 1] == peak:
             return True
-    while extra:
-        if slack[(extra & -extra).bit_length() - 1] == peak:
-            return True
-        extra &= extra - 1
+        mask &= mask - 1
     return False
 
 
@@ -335,8 +333,10 @@ def _branch_and_bound(
       undoes it.  Each vertex gains at most 1, so max(slack) gains at most 1
       over peak[j], its maximum before edge j, filled when first needed on
       each visit, and _raises reads the gain only when below + deg - peak[j]
-      = best + 1.  With at[v] the edges 0..j at v, slack <= at, so the cut
-      is tried only if below + deg - most[j] - 1 <= best: most[j] = max(at).
+      = best + 1, on one mask: the vertices that gain, masks[j] for None and
+      masks[j] | common[c] for an old color c.  With at[v] the edges 0..j at
+      v, slack <= at, so the cut is tried only if below + deg - most[j] - 1
+      <= best: most[j] = max(at).
 
     The search stops with status "budget_exhausted" at the first node past
     max_nodes, or at the first node at which the clock has passed deadline
@@ -412,7 +412,7 @@ def _branch_and_bound(
                     peak[j] = max(slack)
                 gap = below + deg - peak[j] - best  # cut if gap - (the raise) <= 0
                 if gap == 1 and c != top:
-                    gap -= _raises(slack, peak[j], edges[j], 0 if c is None else common[c] & ~masks[j])
+                    gap -= _raises(slack, peak[j], masks[j] if c is None else masks[j] | common[c])
                 cut = gap <= 0
             if cut or c is not None and _vetoed(table[j], val, c):
                 continue

@@ -88,6 +88,14 @@ def test_run_ratios_give_the_spread(script):
     assert script.paired_ratio([1.0, 3.0, 1.0], [2.0, 2.0, 1.0]) == 1.0
 
 
+def test_unresolved_needs_runs_on_both_sides_of_ten_percent(script):
+    # UNRESOLVED follows SPREAD when the runs disagree on a 10% change
+    assert script.unresolved([0.85, 1.0, 1.15])
+    assert not script.unresolved([0.85, 0.95, 1.05])
+    assert not script.unresolved([1.0, 1.15, 1.3])
+    assert not script.unresolved([0.9, 1.1])  # the bounds themselves are resolved
+
+
 def test_final_table_from_either_yield_shape(script):
     # a checkout's _copy_tables yields the host (table, masks, most) per
     # rung, an older one the bare table

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arl.hypergraph import (
     Embedding,
+    _independent_sets,
     colex_rank,
     has_copy,
     independent_sets,
@@ -125,6 +126,18 @@ class TestIndependentSets:
         subsets = [s for k in range(h.n + 1) for s in itertools.combinations(range(h.n), k)]
         want = sorted(s for s in subsets if is_independent(h, s, mode))
         assert independent_sets(h, mode) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_hypergraphs(max_n=8, rs=(1, 2, 3)), st.sampled_from(["weak", "strong"]),
+           st.data())
+    def test_restricted_search_keeps_the_sets_inside(self, h, mode, data):
+        # over an ascending vertex list, the search lists the independent
+        # sets inside it, in the order the search over every vertex does
+        picked = data.draw(st.lists(st.sampled_from(range(h.n)), unique=True), label="subset")
+        every = independent_sets(h, mode)
+        for vs in ([], list(range(h.n)), [v for v in range(h.n) if h.degrees[v] != 1],
+                   sorted(picked)):
+            assert _independent_sets(h, mode, vs) == [s for s in every if set(s) <= set(vs)]
 
 
 class TestEnumerate:

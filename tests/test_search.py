@@ -699,7 +699,7 @@ def walk_the_loop(data, check):
         mask = vertex_mask(e)
         c = data.draw(st.sampled_from([top, None, *range(top)]), label=f"value of {e}")
         peak, old = max(slack), None if c is None or c == top else common[c]
-        raised = c != top and _raises(slack, peak, e, 0 if old is None else old & ~mask)
+        raised = c != top and _raises(slack, peak, mask if old is None else mask | old)
         if c == top:
             common.append(mask)
         else:
